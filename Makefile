@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench bench-smoke bench-json bench-guard fuzz-smoke metrics-smoke backends-smoke cipher-smoke server-smoke tls-smoke transcipher-smoke ci clean
+.PHONY: all build vet fmt-check test race bench bench-smoke bench-json bench-guard fuzz-smoke metrics-smoke backends-smoke cipher-smoke server-smoke tls-smoke transcipher-smoke bench-harness examples-smoke ci clean
 
 all: build
 
@@ -109,7 +109,22 @@ tls-smoke:
 transcipher-smoke:
 	$(GO) test -run 'TestTranscipherE2E|TestTranscipherDoesNotBlockKeystream' -count=1 -v ./internal/server
 
-ci: vet fmt-check build race backends-smoke cipher-smoke server-smoke tls-smoke transcipher-smoke bench-smoke
+# The end-to-end benchmark harness is a module of its own (cmd/hheload/
+# go.mod), so the root `./...` patterns skip it: vet and race-test it
+# explicitly so an internal API change that breaks it fails here.
+bench-harness:
+	$(GO) -C cmd/hheload vet ./...
+	$(GO) -C cmd/hheload test -race ./...
+
+# Run the example programs that drive the HHE protocol end to end; each
+# exits non-zero when its decrypted result disagrees with the plaintext
+# computation.
+examples-smoke:
+	$(GO) run ./examples/hhe-workflow
+	$(GO) run ./examples/ml-inference
+	$(GO) run ./examples/network
+
+ci: vet fmt-check build race backends-smoke cipher-smoke server-smoke tls-smoke transcipher-smoke bench-smoke bench-harness examples-smoke
 
 clean:
 	$(GO) clean ./...

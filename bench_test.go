@@ -11,7 +11,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/ff"
 	"repro/internal/hera"
-	"repro/internal/hhe"
 	"repro/internal/hw"
 	"repro/internal/hw/area"
 	"repro/internal/pasta"
@@ -236,35 +235,6 @@ func BenchmarkClaimsSpeedup(b *testing.B) {
 	b.ReportMetric(c.CycleReductionP3, "cycle-reduction-P3")
 	b.ReportMetric(c.CycleReductionP4, "cycle-reduction-P4")
 	b.ReportMetric(c.SpeedupVsRISE, "speedup-vs-RISE")
-}
-
-// BenchmarkHHETranscipher measures the server-side homomorphic PASTA
-// decryption on the reduced instance (protocol of Fig. 1; out of the
-// paper's hardware scope but part of the system).
-func BenchmarkHHETranscipher(b *testing.B) {
-	par, err := hhe.NewToyParams(2, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	key := pasta.KeyFromSeed(par.Pasta, "bench")
-	client, err := hhe.NewClient(par, key, []byte{7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	server, err := hhe.NewServer(par, client.Context(), client.EvalKeys())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ct, err := client.EncryptBlock(1, 0, ff.Vec{11, 22})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := server.Transcipher(1, 0, ct); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkSchemesHERA regenerates the §VI cross-scheme row: the

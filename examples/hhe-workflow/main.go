@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/bfv"
 	"repro/internal/ff"
 	"repro/internal/hhe"
 	"repro/internal/pasta"
@@ -36,7 +35,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\n[client] transporting homomorphically encrypted PASTA key (one-time)…")
-	server, err := hhe.NewServer(params, client.Context(), client.EvalKeys())
+	keys, err := client.PackedEvalKeys()
+	if err != nil {
+		log.Fatal(err)
+	}
+	server, err := hhe.NewPackedServer(params, client.Context(), keys)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,14 +68,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Compute on encrypted data: elementwise sum of the two readings.
-	ctx := client.Context()
-	sum0 := ctx.Add(fhe1[0], fhe2[0])
-	sum1 := ctx.Add(fhe1[1], fhe2[1])
+	// Compute on encrypted data: slot-wise sum of the two readings.
+	sum := client.Context().Add(fhe1, fhe2)
 	fmt.Println("[server] computed encrypted sums without seeing any plaintext")
 
 	// --- client decrypts the result ----------------------------------------
-	result := client.DecryptResult([]*bfv.Ciphertext{sum0, sum1})
+	result, err := client.DecryptPacked(sum, 2)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("[client] decrypted result:", result)
 
 	mod := params.Pasta.Mod

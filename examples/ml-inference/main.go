@@ -36,7 +36,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	server, err := hhe.NewServer(params, client.Context(), client.EvalKeys())
+	keys, err := client.PackedEvalKeys()
+	if err != nil {
+		log.Fatal(err)
+	}
+	server, err := hhe.NewPackedServer(params, client.Context(), keys)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,25 +55,43 @@ func main() {
 		features, len(symCt), ff.PackedSize(len(symCt), mod.Bits()))
 
 	// --- server: trans-cipher, then evaluate the model homomorphically ----
-	fheCts, err := server.Transcipher(nonce, 0, symCt)
+	fheCt, err := server.Transcipher(nonce, 0, symCt)
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The features sit in the slots replicated with period t = 4, so
+	// rotations act mod t: after the slot-wise product with the weights,
+	// rotating by 1 and then by 2 and adding leaves Σ wᵢ·xᵢ in every slot.
 	ctx := client.Context()
-	var score *bfv.Ciphertext
-	for i, w := range weights {
-		term := ctx.MulScalar(fheCts[i], w)
-		if score == nil {
-			score = term
-		} else {
-			score = ctx.Add(score, term)
-		}
+	enc, err := bfv.NewEncoder(ctx)
+	if err != nil {
+		log.Fatal(err)
 	}
-	score = ctx.AddPlain(score, ctx.EncodeScalar(bias))
+	wPt, err := enc.EncodeReplicated(weights)
+	if err != nil {
+		log.Fatal(err)
+	}
+	score := ctx.MulPlain(fheCt, wPt)
+	for _, step := range []int{1, 2} {
+		rot, err := ctx.RotateColumns(score, step, keys.GKs)
+		if err != nil {
+			log.Fatal(err)
+		}
+		score = ctx.Add(score, rot)
+	}
+	bPt, err := enc.EncodeReplicated([]uint64{bias})
+	if err != nil {
+		log.Fatal(err)
+	}
+	score = ctx.AddPlain(score, bPt)
 	fmt.Println("[server] evaluated Σ wᵢ·xᵢ + b on encrypted features")
 
 	// --- client decrypts only the score ------------------------------------
-	got := client.DecryptResult([]*bfv.Ciphertext{score})[0]
+	dec, err := client.DecryptPacked(score, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	got := dec[0]
 	want := bias
 	for i := range weights {
 		want = mod.Add(want, mod.Mul(weights[i], features[i]))

@@ -1,93 +1,88 @@
 // Network runs the Fig. 1 HHE protocol over a real TCP connection on the
-// loopback interface, with every message serialized through the library's
-// wire formats — measuring exactly the traffic split the paper's
-// communication argument rests on: a heavy one-time setup (FHE keys +
-// encrypted PASTA key) followed by symmetric-ciphertext data messages
-// with no FHE expansion.
+// loopback interface against the serving tier (internal/server), and
+// measures exactly the traffic split the paper's communication argument
+// rests on: a heavy one-time setup (BFV evaluation keys + encrypted
+// PASTA key) followed by symmetric-ciphertext data messages with no FHE
+// expansion.
 //
-// Frames ride the versioned internal/wire codec (magic + version +
-// length, bounded payloads) — the same framing the hheserver serving
-// tier speaks — and both ends run under I/O deadlines, so a stalled or
-// misbehaving peer fails the demo instead of hanging it.
+// The client opens a keyless session — it holds only the BFV secret key,
+// the paper's asymmetric deployment — uploads its eval-key blob once,
+// and asks the server to transcipher PASTA blocks into BFV ciphertexts.
 package main
 
 import (
-	"encoding/binary"
+	"context"
 	"fmt"
 	"log"
 	"net"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/bfv"
 	"repro/internal/ff"
 	"repro/internal/hhe"
 	"repro/internal/pasta"
+	"repro/internal/server"
 	"repro/internal/wire"
 )
 
-const ioTimeout = 30 * time.Second
+const (
+	blockSize = 2
+	rounds    = 1
+	nonce     = 1
+)
 
 func main() {
-	params, err := hhe.NewToyParams(2, 1)
+	params, err := hhe.NewToyParams(blockSize, rounds)
 	if err != nil {
 		log.Fatal(err)
 	}
 
+	srv, err := server.New(server.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer ln.Close()
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(ln) }()
 
-	serverDone := make(chan error, 1)
-	go func() { serverDone <- runServer(ln, params) }()
+	runErr := runClient(ln.Addr().String(), params)
 
-	if err := runClient(ln.Addr().String(), params); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
 		log.Fatal(err)
 	}
-	if err := <-serverDone; err != nil {
+	if err := <-serveDone; err != nil {
 		log.Fatal(err)
 	}
-}
-
-// peer wraps a connection with the wire codec and a rolling deadline:
-// every frame exchange must make progress within ioTimeout.
-type peer struct {
-	conn  net.Conn
-	codec *wire.Codec
-}
-
-func newPeer(conn net.Conn) *peer {
-	c := wire.NewCodec(conn)
-	c.MaxPayload = 64 << 20 // FHE key blobs are large
-	return &peer{conn: conn, codec: c}
-}
-
-// send writes one blob frame and returns the bytes on the wire.
-func (p *peer) send(payload []byte) (int, error) {
-	if err := p.conn.SetWriteDeadline(time.Now().Add(ioTimeout)); err != nil {
-		return 0, err
+	if runErr != nil {
+		log.Fatal(runErr)
 	}
-	if err := p.codec.WriteBlob(payload); err != nil {
-		return 0, err
-	}
-	return wire.HeaderSize + len(payload), nil
 }
 
-func (p *peer) recv() ([]byte, error) {
-	if err := p.conn.SetReadDeadline(time.Now().Add(ioTimeout)); err != nil {
-		return nil, err
-	}
-	return p.codec.ReadBlob()
+// countingConn counts the bytes the client puts on the wire.
+type countingConn struct {
+	net.Conn
+	sent atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.sent.Add(int64(n))
+	return n, err
 }
 
 func runClient(addr string, params hhe.Params) error {
-	conn, err := net.Dial("tcp", addr)
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	p := newPeer(conn)
+	conn := &countingConn{Conn: nc}
+	c := server.NewClient(conn)
+	defer c.Close()
 
 	key, err := pasta.NewRandomKey(params.Pasta)
 	if err != nil {
@@ -97,172 +92,62 @@ func runClient(addr string, params hhe.Params) error {
 	if err != nil {
 		return err
 	}
-	ctx := client.Context()
-	keys := client.EvalKeys()
 
 	// --- one-time setup traffic ---------------------------------------------
-	setupBytes := 0
-	pkBlob, err := keys.PK.MarshalBinary(ctx)
+	sess, err := c.OpenSession(wire.SessionOpen{
+		Width: uint8(params.Pasta.Mod.Bits()), Rounds: rounds, T: blockSize, Nonce: nonce,
+	})
 	if err != nil {
 		return err
 	}
-	n, err := p.send(pkBlob)
+	defer sess.Close()
+	blob, err := client.EvalKeysBlob()
 	if err != nil {
 		return err
 	}
-	setupBytes += n
-	rlkBlob, err := keys.RLK.MarshalBinary(ctx)
-	if err != nil {
+	if err := sess.UploadEvalKeys(blob); err != nil {
 		return err
 	}
-	if n, err = p.send(rlkBlob); err != nil {
-		return err
-	}
-	setupBytes += n
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(keys.Key)))
-	if n, err = p.send(cnt[:]); err != nil {
-		return err
-	}
-	setupBytes += n
-	for _, ct := range keys.Key {
-		blob, err := ct.MarshalBinary(ctx)
-		if err != nil {
-			return err
-		}
-		if n, err = p.send(blob); err != nil {
-			return err
-		}
-		setupBytes += n
-	}
-	fmt.Printf("[client] one-time setup sent: %d bytes (FHE pk + rlk + Enc(K))\n", setupBytes)
+	setupBytes := conn.sent.Load()
+	fmt.Printf("[client] one-time setup sent: %d bytes (session open + BFV pk/rlk/Galois keys + Enc(K))\n", setupBytes)
 
 	// --- steady-state data traffic -------------------------------------------
 	messages := []ff.Vec{{1111, 2222}, {3333, 4444}, {55, 65000}}
-	dataBytes := 0
+	var symCt ff.Vec
 	for blk, msg := range messages {
-		symCt, err := client.EncryptBlock(1, uint64(blk), msg)
+		ct, err := client.EncryptBlock(nonce, uint64(blk), msg)
 		if err != nil {
 			return err
 		}
-		packed, err := ff.PackBits(symCt, params.Pasta.Mod.Bits())
-		if err != nil {
-			return err
-		}
-		if n, err = p.send(packed); err != nil {
-			return err
-		}
-		dataBytes += n
+		symCt = append(symCt, ct...)
 	}
-	fmt.Printf("[client] %d data blocks sent: %d bytes total (%.1f bytes/element — no FHE expansion)\n",
-		len(messages), dataBytes, float64(dataBytes)/float64(2*len(messages)))
+	replies, err := sess.Transcipher(nonce, 0, symCt)
+	if err != nil {
+		return err
+	}
+	dataBytes := conn.sent.Load() - setupBytes
+	payload := ff.PackedSize(len(symCt), params.Pasta.Mod.Bits())
+	fmt.Printf("[client] %d data blocks sent in one request: %d bytes total, %.1f bytes/element\n",
+		len(messages), dataBytes, float64(dataBytes)/float64(len(symCt)))
+	fmt.Printf("[client]   of which %d bytes bit-packed ciphertext (%.2f bytes/element — no FHE expansion) and %d bytes request header\n",
+		payload, float64(payload)/float64(len(symCt)), dataBytes-int64(payload))
 
-	// --- receive the homomorphic computation result ---------------------------
-	blob, err := p.recv()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("[client] result ciphertext received: %d bytes\n", len(blob))
-	resCt, err := ctx.UnmarshalCiphertext(blob)
-	if err != nil {
-		return err
-	}
-	sum := client.DecryptResult([]*bfv.Ciphertext{resCt})
-	mod := params.Pasta.Mod
-	want := mod.Add(mod.Add(messages[0][0], messages[1][0]), messages[2][0])
-	fmt.Printf("[client] decrypted homomorphic sum of first elements: %d (want %d)\n", sum[0], want)
-	if sum[0] != want {
-		return fmt.Errorf("wrong result")
+	// --- the server's transciphered BFV ciphertexts ---------------------------
+	ctx := client.Context()
+	for blk, reply := range replies {
+		ct, err := ctx.UnmarshalCiphertext(reply)
+		if err != nil {
+			return err
+		}
+		got, err := client.DecryptPacked(ct, blockSize)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("[client] block %d: %d-byte BFV ciphertext decrypts to %v\n", blk, len(reply), got)
+		if !got.Equal(messages[blk]) {
+			return fmt.Errorf("block %d: decrypted %v, want %v", blk, got, messages[blk])
+		}
 	}
 	fmt.Println("[client] protocol complete ✓")
-	return nil
-}
-
-func runServer(ln net.Listener, params hhe.Params) error {
-	conn, err := ln.Accept()
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	p := newPeer(conn)
-
-	ctx, err := bfv.NewContext(params.BFV)
-	if err != nil {
-		return err
-	}
-	// --- receive setup ---------------------------------------------------------
-	pkBlob, err := p.recv()
-	if err != nil {
-		return err
-	}
-	pk, err := ctx.UnmarshalPublicKey(pkBlob)
-	if err != nil {
-		return err
-	}
-	rlkBlob, err := p.recv()
-	if err != nil {
-		return err
-	}
-	rlk, err := ctx.UnmarshalRelinKey(rlkBlob)
-	if err != nil {
-		return err
-	}
-	cntBuf, err := p.recv()
-	if err != nil {
-		return err
-	}
-	if len(cntBuf) != 4 {
-		return fmt.Errorf("key-count frame: %d bytes, want 4", len(cntBuf))
-	}
-	nKeys := binary.LittleEndian.Uint32(cntBuf)
-	if nKeys > uint32(2*params.Pasta.T) {
-		return fmt.Errorf("implausible encrypted-key count %d", nKeys)
-	}
-	encKey := make(hhe.EncryptedKey, nKeys)
-	for i := range encKey {
-		blob, err := p.recv()
-		if err != nil {
-			return err
-		}
-		if encKey[i], err = ctx.UnmarshalCiphertext(blob); err != nil {
-			return err
-		}
-	}
-	server, err := hhe.NewServer(params, ctx, hhe.EvalKeys{PK: pk, RLK: rlk, Key: encKey})
-	if err != nil {
-		return err
-	}
-	fmt.Println("[server] setup complete; PASTA key received homomorphically encrypted")
-
-	// --- trans-cipher incoming blocks and compute on them ----------------------
-	var acc *bfv.Ciphertext
-	for blk := 0; blk < 3; blk++ {
-		packed, err := p.recv()
-		if err != nil {
-			return err
-		}
-		symCt, err := ff.UnpackBits(packed, params.Pasta.T, params.Pasta.Mod.Bits())
-		if err != nil {
-			return err
-		}
-		fheCts, err := server.Transcipher(1, uint64(blk), symCt)
-		if err != nil {
-			return err
-		}
-		if acc == nil {
-			acc = fheCts[0]
-		} else {
-			acc = ctx.Add(acc, fheCts[0])
-		}
-	}
-	fmt.Println("[server] trans-ciphered 3 blocks and summed their first elements under encryption")
-
-	blob, err := acc.MarshalBinary(ctx)
-	if err != nil {
-		return err
-	}
-	if _, err := p.send(blob); err != nil {
-		return err
-	}
 	return nil
 }

@@ -2,17 +2,19 @@
 // Fig. 1 of the paper:
 //
 //  1. The client homomorphically encrypts its PASTA key K under the FHE
-//     scheme and ships it to the server once.
+//     scheme and ships it to the server once, together with the
+//     relinearization and Galois keys (PackedEvalKeys, EvalKeysBlob).
 //  2. The client symmetrically encrypts message blocks with PASTA (cheap,
 //     no ciphertext expansion) and sends them.
 //  3. The server evaluates the PASTA decryption circuit homomorphically
-//     ("homomorphic HHE decryption"), obtaining FHE ciphertexts of the
-//     messages that it can then compute on.
+//     ("homomorphic HHE decryption", PackedServer), obtaining FHE
+//     ciphertexts of the messages that it can then compute on.
 //
 // The homomorphic evaluator replays the exact public schedule of the
-// cipher (matrices, round constants) and evaluates affine layers with
-// scalar multiplications, Mix with additions, and the S-boxes with
-// relinearized ciphertext multiplications over the BFV scheme.
+// cipher (matrices, round constants) on batched BFV ciphertexts: each
+// t-element state half lives in the slots of one ciphertext, affine
+// layers use the diagonal method over slot rotations, and the S-boxes
+// use relinearized ciphertext multiplications (packed.go).
 //
 // Substitution note (DESIGN.md): the paper's server is out of scope of
 // its hardware contribution; we demonstrate the protocol end to end on a
@@ -22,12 +24,9 @@
 package hhe
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/backend"
 	"repro/internal/bfv"
-	"repro/internal/cipher"
 	"repro/internal/ff"
 	"repro/internal/pasta"
 	"repro/internal/rlwe"
@@ -49,9 +48,10 @@ func NewToyParams(t, rounds int) (Params, error) {
 	if err != nil {
 		return Params{}, err
 	}
-	// Depth budget: one scalar-mult layer per affine (≈19 bits each) and
-	// one ct-ct multiplication per S-box level (≈30 bits each). Four
-	// 55-bit primes cover toy instances up to rounds = 2 comfortably.
+	// Depth budget: one plaintext-multiplication layer per affine and
+	// one ct-ct multiplication per S-box level. Four 55-bit primes cover
+	// toy instances up to rounds = 2 (about 40 bits of noise budget are
+	// left after the t = 4, rounds = 2 circuit).
 	bp, err := bfv.NewParams(1024, 55, 4, pp.Mod.P())
 	if err != nil {
 		return Params{}, err
@@ -70,19 +70,10 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// EncryptedKey is the homomorphically encrypted PASTA key: one BFV
-// ciphertext per key element (scalar encoding).
-type EncryptedKey []*bfv.Ciphertext
-
 // Client owns both key materials: the PASTA key and the FHE key pair.
-// The symmetric side runs on an execution backend (internal/backend), so
-// the client-side encryption can execute on the software cipher, the
-// cycle-accurate accelerator model, or the SoC co-simulation — the
-// substrate the paper's cryptoprocessor occupies in Fig. 1.
 type Client struct {
 	params Params
-	key    pasta.Key
-	sym    backend.BlockCipher
+	sym    *pasta.Cipher
 	ctx    *bfv.Context
 	sk     *bfv.SecretKey
 	pk     *bfv.PublicKey
@@ -91,26 +82,12 @@ type Client struct {
 }
 
 // NewClient creates a client with fresh FHE keys (deterministic from the
-// seed, for reproducibility) and the given PASTA key, encrypting on the
-// software backend.
+// seed, for reproducibility) and the given PASTA key.
 func NewClient(p Params, key pasta.Key, seed []byte) (*Client, error) {
-	return NewClientOn(backend.NameSoftware, p, key, seed)
-}
-
-// NewClientOn is NewClient with the symmetric side on the named
-// execution backend ("software", "accel", "soc", …). Reduced (toy) PASTA
-// instances work on any substrate whose constraints they meet.
-func NewClientOn(backendName string, p Params, key pasta.Key, seed []byte) (*Client, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if err := key.Validate(p.Pasta); err != nil {
-		return nil, err
-	}
-	sym, err := backend.Open(backendName, backend.Config{
-		CipherParams: cipher.Params{T: p.Pasta.T, Rounds: p.Pasta.Rounds, Mod: p.Pasta.Mod},
-		Key:          ff.Vec(key),
-	})
+	sym, err := pasta.NewCipher(p.Pasta, key)
 	if err != nil {
 		return nil, err
 	}
@@ -122,243 +99,16 @@ func NewClientOn(backendName string, p Params, key pasta.Key, seed []byte) (*Cli
 	sk, pk, rlk := ctx.KeyGen(g)
 	return &Client{
 		params: p,
-		key:    pasta.Key(ff.Vec(key).Clone()),
 		sym:    sym,
 		ctx:    ctx, sk: sk, pk: pk, rlk: rlk, prng: g,
 	}, nil
 }
 
-// SymmetricBackend exposes the execution backend the symmetric side runs
-// on (for stats inspection and substrate-specific tooling).
-func (c *Client) SymmetricBackend() backend.BlockCipher { return c.sym }
-
-// TransportKey produces the one-time homomorphic encryption of the PASTA
-// key that the server needs (step 1 of the protocol).
-func (c *Client) TransportKey() EncryptedKey {
-	ek := make(EncryptedKey, len(c.key))
-	for i, v := range c.key {
-		ek[i] = c.ctx.EncryptSymmetric(c.sk, c.ctx.EncodeScalar(v), c.prng)
-	}
-	return ek
-}
-
 // EncryptBlock symmetrically encrypts up to t field elements — the cheap
 // client-side operation the paper's cryptoprocessor accelerates.
 func (c *Client) EncryptBlock(nonce, block uint64, msg ff.Vec) (ff.Vec, error) {
-	t := c.params.Pasta.T
-	if len(msg) > t {
-		return nil, fmt.Errorf("hhe: block has %d elements, max %d", len(msg), t)
-	}
-	ks := ff.NewVec(t)
-	if err := c.sym.KeyStreamInto(context.Background(), ks, nonce, block); err != nil {
-		return nil, err
-	}
-	return c.MaskWith(ks, msg)
-}
-
-// Encrypt symmetrically encrypts an arbitrary-length message on the
-// client's execution backend (keystream blocks are CTR-independent and
-// fan out over the backend's worker pool on the software substrate).
-func (c *Client) Encrypt(nonce uint64, msg ff.Vec) (ff.Vec, error) {
-	return c.sym.Encrypt(context.Background(), nonce, msg)
-}
-
-// DecryptSymmetric inverts Encrypt on the symmetric (PASTA) side — the
-// sanity path a client uses to check a ciphertext locally; the server
-// never holds this key and transciphers instead.
-func (c *Client) DecryptSymmetric(nonce uint64, ct ff.Vec) (ff.Vec, error) {
-	return c.sym.Decrypt(context.Background(), nonce, ct)
-}
-
-// PrecomputeKeystream computes the keystream for blocks [0, blocks) of
-// the nonce in parallel, concatenated block-major. Because the keystream
-// depends only on (key, nonce, counter), a client can generate it before
-// the data to encrypt exists and later mask messages with a cheap
-// elementwise addition — the latency-hiding trick CTR-style HHE clients
-// (and Presto's batched pipeline) rely on.
-func (c *Client) PrecomputeKeystream(nonce uint64, blocks int) (ff.Vec, error) {
-	return c.sym.KeyStreamBlocks(context.Background(), nonce, 0, blocks)
-}
-
-// MaskWith encrypts msg using a precomputed keystream slice (from
-// PrecomputeKeystream): ct[i] = msg[i] + ks[i] mod p.
-func (c *Client) MaskWith(ks, msg ff.Vec) (ff.Vec, error) {
-	if len(ks) < len(msg) {
-		return nil, fmt.Errorf("hhe: precomputed keystream has %d elements, message %d", len(ks), len(msg))
-	}
-	p := c.params.Pasta.Mod.P()
-	ct := ff.NewVec(len(msg))
-	for i := range msg {
-		if msg[i] >= p {
-			return nil, fmt.Errorf("hhe: message element %d = %d out of range", i, msg[i])
-		}
-		ct[i] = c.params.Pasta.Mod.Add(msg[i], ks[i])
-	}
-	return ct, nil
-}
-
-// DecryptResult decrypts BFV ciphertexts returned by the server.
-func (c *Client) DecryptResult(cts []*bfv.Ciphertext) ff.Vec {
-	out := ff.NewVec(len(cts))
-	for i, ct := range cts {
-		out[i] = c.ctx.Decrypt(ct, c.sk).DecodeScalar()
-	}
-	return out
-}
-
-// EvalKeys bundles what the server needs.
-type EvalKeys struct {
-	PK  *bfv.PublicKey
-	RLK *bfv.RelinKey
-	Key EncryptedKey
-}
-
-// EvalKeys exports the server-side material (public by construction).
-func (c *Client) EvalKeys() EvalKeys {
-	return EvalKeys{PK: c.pk, RLK: c.rlk, Key: c.TransportKey()}
+	return c.sym.EncryptBlock(nonce, block, msg)
 }
 
 // Context exposes the BFV context (shared parameters are public).
 func (c *Client) Context() *bfv.Context { return c.ctx }
-
-// Server evaluates the homomorphic PASTA decryption circuit.
-type Server struct {
-	params Params
-	ctx    *bfv.Context
-	keys   EvalKeys
-}
-
-// NewServer builds the server from public parameters and eval keys.
-func NewServer(p Params, ctx *bfv.Context, keys EvalKeys) (*Server, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if len(keys.Key) != p.Pasta.StateSize() {
-		return nil, fmt.Errorf("hhe: encrypted key has %d elements, want %d", len(keys.Key), p.Pasta.StateSize())
-	}
-	return &Server{params: p, ctx: ctx, keys: keys}, nil
-}
-
-// EvalKeystream homomorphically computes Enc(KS(nonce, block)): the PASTA
-// permutation over encrypted state with public matrices and constants.
-func (s *Server) EvalKeystream(nonce, block uint64) ([]*bfv.Ciphertext, error) {
-	pp := s.params.Pasta
-	t := pp.T
-	mod := pp.Mod
-
-	// Encrypted state initialized with the transported key.
-	state := make([]*bfv.Ciphertext, pp.StateSize())
-	for i, ct := range s.keys.Key {
-		state[i] = ct.Clone()
-	}
-
-	schedule := pasta.DeriveSchedule(pp, nonce, block)
-	for layerIdx, layer := range schedule {
-		ml := pasta.ExpandMatrix(mod, layer.MatSeedL)
-		mr := pasta.ExpandMatrix(mod, layer.MatSeedR)
-		if err := s.evalAffineHalf(state[:t], ml, layer.RCL); err != nil {
-			return nil, err
-		}
-		if err := s.evalAffineHalf(state[t:], mr, layer.RCR); err != nil {
-			return nil, err
-		}
-		s.evalMix(state)
-		switch {
-		case layerIdx < pp.Rounds-1:
-			if err := s.evalFeistel(state); err != nil {
-				return nil, err
-			}
-		case layerIdx == pp.Rounds-1:
-			if err := s.evalCube(state); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return state[:t], nil
-}
-
-// Transcipher converts a PASTA ciphertext block into FHE ciphertexts of
-// the underlying message: Enc(m_i) = c_i − Enc(KS_i).
-func (s *Server) Transcipher(nonce, block uint64, symCt ff.Vec) ([]*bfv.Ciphertext, error) {
-	if len(symCt) > s.params.Pasta.T {
-		return nil, fmt.Errorf("hhe: block has %d elements, max %d", len(symCt), s.params.Pasta.T)
-	}
-	ks, err := s.EvalKeystream(nonce, block)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*bfv.Ciphertext, len(symCt))
-	for i, c := range symCt {
-		out[i] = s.ctx.SubPlainFrom(s.ctx.EncodeScalar(c), ks[i])
-	}
-	return out, nil
-}
-
-// evalAffineHalf sets half ← M·half + rc homomorphically (scalar
-// multiplications and additions only).
-func (s *Server) evalAffineHalf(half []*bfv.Ciphertext, m *ff.Matrix, rc ff.Vec) error {
-	t := len(half)
-	out := make([]*bfv.Ciphertext, t)
-	for i := 0; i < t; i++ {
-		row := m.Row(i)
-		var acc *bfv.Ciphertext
-		for j := 0; j < t; j++ {
-			if row[j] == 0 {
-				continue
-			}
-			term := s.ctx.MulScalar(half[j], row[j])
-			if acc == nil {
-				acc = term
-			} else {
-				acc = s.ctx.Add(acc, term)
-			}
-		}
-		if acc == nil {
-			// All-zero row cannot occur for invertible matrices, but keep
-			// the circuit total.
-			acc = s.ctx.MulScalar(half[0], 0)
-		}
-		out[i] = s.ctx.AddPlain(acc, s.ctx.EncodeScalar(rc[i]))
-	}
-	copy(half, out)
-	return nil
-}
-
-// evalMix sets (L, R) ← (2L + R, L + 2R) with additions only, mirroring
-// the hardware's three-addition formulation.
-func (s *Server) evalMix(state []*bfv.Ciphertext) {
-	t := len(state) / 2
-	for i := 0; i < t; i++ {
-		sum := s.ctx.Add(state[i], state[t+i])
-		state[i] = s.ctx.Add(state[i], sum)
-		state[t+i] = s.ctx.Add(state[t+i], sum)
-	}
-}
-
-// evalFeistel applies x[j] += x[j-1]² from the top index down.
-func (s *Server) evalFeistel(state []*bfv.Ciphertext) error {
-	for j := len(state) - 1; j >= 1; j-- {
-		sq, err := s.ctx.Mul(state[j-1], state[j-1], s.keys.RLK)
-		if err != nil {
-			return err
-		}
-		state[j] = s.ctx.Add(state[j], sq)
-	}
-	return nil
-}
-
-// evalCube applies x ← x³ elementwise (square, then multiply).
-func (s *Server) evalCube(state []*bfv.Ciphertext) error {
-	for j := range state {
-		sq, err := s.ctx.Mul(state[j], state[j], s.keys.RLK)
-		if err != nil {
-			return err
-		}
-		cube, err := s.ctx.Mul(sq, state[j], s.keys.RLK)
-		if err != nil {
-			return err
-		}
-		state[j] = cube
-	}
-	return nil
-}

@@ -9,9 +9,9 @@ import (
 )
 
 // Packed evaluation: instead of one BFV ciphertext per PASTA state
-// element (the scalar path in hhe.go), each t-element state half lives in
-// the slots of a single batched ciphertext, replicated with period t so
-// slot rotations act modulo t. The affine layer becomes the classic
+// element, each t-element state half lives in the slots of a single
+// batched ciphertext, replicated with period t so slot rotations act
+// modulo t. The affine layer becomes the classic
 // diagonal method — t slot-wise plaintext products over t rotations — and
 // the Feistel shift becomes one rotation plus masking. This is the
 // evaluation style the PASTA designers use server-side, and it cuts the
@@ -43,7 +43,7 @@ func (c *Client) PackedEvalKeys() (PackedEvalKeys, error) {
 	}
 	gks := c.ctx.GenGaloisKeys(c.prng, c.sk, steps)
 
-	key := c.key
+	key := c.sym.Key()
 	encryptHalf := func(half ff.Vec) (*bfv.Ciphertext, error) {
 		pt, err := enc.EncodeReplicated(half)
 		if err != nil {

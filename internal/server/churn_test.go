@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -19,7 +20,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/ff"
-	"repro/internal/hhe"
 	"repro/internal/pasta"
 )
 
@@ -64,7 +64,7 @@ func testTLSPair(t *testing.T) (serverCfg, clientCfg *tls.Config) {
 // population of short-lived sessions over TLS, every one interrupted
 // mid-stream by an abrupt disconnect and resumed by token on a fresh
 // connection — with replay probes woven through the storm — must
-// produce ciphertext bit-identical to the sequential hhe.Client oracle
+// produce ciphertext bit-identical to the sequential software-cipher oracle
 // on both the software and accelerator backends.
 func TestChurnReconnectStorm(t *testing.T) {
 	total := 10000
@@ -87,18 +87,11 @@ func TestChurnReconnectStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := par.Mod.P()
-	hp, err := hheParamsFor(par)
-	if err != nil {
-		t.Fatal(err)
-	}
 	keys := make([][]uint64, keyCount)
-	oracles := make([]*hhe.Client, keyCount)
+	oracles := make([]backend.BlockCipher, keyCount)
 	for k := range keys {
 		keys[k] = testKey(2*blk, uint64(k)+31, p)
-		oracles[k], err = hhe.NewClient(hp, pasta.Key(keys[k]), []byte("churn-oracle"))
-		if err != nil {
-			t.Fatal(err)
-		}
+		oracles[k] = softwareOracle(t, par, keys[k])
 	}
 	baseline := runtime.NumGoroutine()
 
@@ -163,7 +156,7 @@ func TestChurnReconnectStorm(t *testing.T) {
 // TLS, stream the first part, lose the connection abruptly, resume by
 // token on a new connection, stream the rest, and check the assembled
 // ciphertext against the oracle.
-func churnBatch(addr string, clientTLS *tls.Config, p uint64, oracles []*hhe.Client,
+func churnBatch(addr string, clientTLS *tls.Config, p uint64, oracles []backend.BlockCipher,
 	keys [][]uint64, base, n, cut, msgLen int, replaysCaught *atomic.Uint64) error {
 	type half struct {
 		token []byte
@@ -184,7 +177,7 @@ func churnBatch(addr string, clientTLS *tls.Config, p uint64, oracles []*hhe.Cli
 		nonce := uint64(1000 + idx)
 		st := &states[i]
 		st.msg = testMsg(msgLen, nonce, p)
-		if st.want, err = oracles[k].Encrypt(nonce, st.msg); err != nil {
+		if st.want, err = oracles[k].Encrypt(context.Background(), nonce, st.msg); err != nil {
 			c.Close()
 			return fmt.Errorf("oracle %d: %w", idx, err)
 		}

@@ -183,8 +183,8 @@ func TestSameKeyNonceDifferentCiphers(t *testing.T) {
 // listed) and the connection survives to negotiate a supported cipher —
 // with no goroutine left behind by the failed opens.
 func TestUnknownCipherNegotiation(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	_, addr := startServer(t, Config{})
+	srv, addr := startServer(t, Config{})
+	baseline := servingBaseline(t, srv)
 	c := dialClient(t, addr)
 
 	key := testKey(8, 14, ff.P17.P())
@@ -223,8 +223,17 @@ func TestUnknownCipherNegotiation(t *testing.T) {
 
 	waitFor(t, 5*time.Second, "goroutines to drain after rejected opens", func() bool {
 		runtime.GC()
-		return runtime.NumGoroutine() <= baseline+2
+		return runtime.NumGoroutine() <= baseline
 	})
+}
+
+// servingBaseline waits until srv's Serve loop has started its worker
+// pool and returns the goroutine count at that point, so a later drain
+// check counts only what the test's own connections leave behind.
+func servingBaseline(t *testing.T, srv *Server) int {
+	t.Helper()
+	waitFor(t, 5*time.Second, "server to start serving", func() bool { return srv.Addr() != nil })
+	return runtime.NumGoroutine()
 }
 
 // TestSoftwareOnlyCipherOnSoCBackend: a registered cipher the configured
@@ -232,8 +241,8 @@ func TestUnknownCipherNegotiation(t *testing.T) {
 // a Retry-After hint — the server config will not change on retry — and
 // the connection stays usable for ciphers the substrate does support.
 func TestSoftwareOnlyCipherOnSoCBackend(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	_, addr := startServer(t, Config{Backend: backend.NameSoC})
+	srv, addr := startServer(t, Config{Backend: backend.NameSoC})
+	baseline := servingBaseline(t, srv)
 	c := dialClient(t, addr)
 
 	open, _, _ := openFor(t, "masta", "soc-tenant", 700)
@@ -262,6 +271,6 @@ func TestSoftwareOnlyCipherOnSoCBackend(t *testing.T) {
 
 	waitFor(t, 5*time.Second, "goroutines to drain after unsupported-cipher opens", func() bool {
 		runtime.GC()
-		return runtime.NumGoroutine() <= baseline+2
+		return runtime.NumGoroutine() <= baseline
 	})
 }

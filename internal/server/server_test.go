@@ -11,9 +11,7 @@ import (
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/cipher"
 	"repro/internal/ff"
-	"repro/internal/hhe"
 	"repro/internal/pasta"
 	"repro/internal/wire"
 )
@@ -121,7 +119,7 @@ func vecsEqual(a, b ff.Vec) bool {
 
 // TestE2EConcurrentSessions is the acceptance test: 32 concurrent client
 // sessions against one server must produce ciphertext bit-identical to
-// the sequential hhe.Client oracle, on every execution backend.
+// the sequential software-cipher oracle, on every execution backend.
 func TestE2EConcurrentSessions(t *testing.T) {
 	const (
 		sessions  = 32
@@ -136,13 +134,13 @@ func TestE2EConcurrentSessions(t *testing.T) {
 	}
 	p := par.Mod.P()
 
-	// Sequential oracles: one hhe.Client per key, symmetric side on the
-	// software cipher. The serving tier must match these bit for bit.
-	oracles := make([]*hhe.Client, keyCount)
+	// Sequential oracles: one software cipher per key. The serving tier
+	// must match these bit for bit.
+	oracles := make([]backend.BlockCipher, keyCount)
 	keys := make([][]uint64, keyCount)
 	for k := 0; k < keyCount; k++ {
 		keys[k] = testKey(2*par.T, uint64(k)+1, p)
-		oracles[k] = newOracle(t, par, keys[k])
+		oracles[k] = softwareOracle(t, par, keys[k])
 	}
 
 	for _, name := range []string{backend.NameSoftware, backend.NameAccel, backend.NameSoC} {
@@ -174,22 +172,9 @@ func TestE2EConcurrentSessions(t *testing.T) {
 	}
 }
 
-func newOracle(t *testing.T, par pasta.Params, key []uint64) *hhe.Client {
-	t.Helper()
-	hp, err := hheParamsFor(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := hhe.NewClient(hp, pasta.Key(key), []byte("server-e2e-oracle"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 // runSessionCheck drives one session through the three request kinds and
 // compares every response against the oracle.
-func runSessionCheck(c *Client, oracle *hhe.Client, key []uint64, nonce uint64, msgLen, t int) error {
+func runSessionCheck(c *Client, oracle backend.BlockCipher, key []uint64, nonce uint64, msgLen, t int) error {
 	sess, err := c.OpenSession(pasta4Open(key, nonce))
 	if err != nil {
 		return fmt.Errorf("open: %w", err)
@@ -206,7 +191,7 @@ func runSessionCheck(c *Client, oracle *hhe.Client, key []uint64, nonce uint64, 
 	if err != nil {
 		return fmt.Errorf("encrypt: %w", err)
 	}
-	want, err := oracle.Encrypt(nonce+7, msg)
+	want, err := oracle.Encrypt(context.Background(), nonce+7, msg)
 	if err != nil {
 		return fmt.Errorf("oracle encrypt: %w", err)
 	}
@@ -219,7 +204,7 @@ func runSessionCheck(c *Client, oracle *hhe.Client, key []uint64, nonce uint64, 
 	if err != nil {
 		return fmt.Errorf("keystream: %w", err)
 	}
-	wantKS, err := oracle.PrecomputeKeystream(nonce+7, 2)
+	wantKS, err := oracle.KeyStreamBlocks(context.Background(), nonce+7, 0, 2)
 	if err != nil {
 		return fmt.Errorf("oracle keystream: %w", err)
 	}
@@ -243,7 +228,7 @@ func runSessionCheck(c *Client, oracle *hhe.Client, key []uint64, nonce uint64, 
 		off += uint64(len(chunk))
 		stream = append(stream, cts[i]...)
 	}
-	wantStream, err := oracle.Encrypt(nonce, msg)
+	wantStream, err := oracle.Encrypt(context.Background(), nonce, msg)
 	if err != nil {
 		return fmt.Errorf("oracle stream: %w", err)
 	}
@@ -339,15 +324,7 @@ func oracleEncrypt(t *testing.T, blk int, key []uint64, nonce uint64, msg ff.Vec
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := backend.Open(backend.NameSoftware, backend.Config{
-		CipherParams: cipher.Params{T: par.T, Rounds: par.Rounds, Mod: par.Mod},
-		Key:          ff.Vec(key),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	ct, err := b.Encrypt(context.Background(), nonce, msg)
+	ct, err := softwareOracle(t, par, key).Encrypt(context.Background(), nonce, msg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,21 +6,26 @@ import (
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/bfv"
+	"repro/internal/cipher"
 	"repro/internal/ff"
-	"repro/internal/hhe"
 	"repro/internal/pasta"
 	"testing"
 )
 
-// hheParamsFor couples a PASTA instance with a matching toy BFV instance
-// so the hhe.Client oracle can be built over standard cipher parameters.
-func hheParamsFor(par pasta.Params) (hhe.Params, error) {
-	bp, err := bfv.NewParams(1024, 55, 4, par.Mod.P())
+// softwareOracle opens the reference cipher for key on the software
+// backend: the sequential oracle serving-tier replies must match bit for
+// bit. It is closed with the test.
+func softwareOracle(t testing.TB, par pasta.Params, key []uint64) backend.BlockCipher {
+	t.Helper()
+	b, err := backend.Open(backend.NameSoftware, backend.Config{
+		CipherParams: cipher.Params{T: par.T, Rounds: par.Rounds, Mod: par.Mod},
+		Key:          ff.Vec(key),
+	})
 	if err != nil {
-		return hhe.Params{}, err
+		t.Fatal(err)
 	}
-	return hhe.Params{Pasta: par, BFV: bp}, nil
+	t.Cleanup(func() { b.Close() })
+	return b
 }
 
 // slowBackendName is a registered test-only substrate that executes on

@@ -19,9 +19,6 @@
 // strict: every field bounds-checked before allocation, trailing bytes
 // rejected. FuzzWireDecode pins the "never panic, never over-allocate"
 // contract.
-//
-// The same codec frames the loopback demo in examples/network (opaque
-// TypeBlob frames), so the example and the server cannot drift apart.
 package wire
 
 import (
@@ -76,8 +73,8 @@ const (
 	TypeData Type = 7
 	// TypeError reports a request or protocol failure.
 	TypeError Type = 8
-	// TypeBlob is an opaque application payload (used by the protocol
-	// demos for FHE key and ciphertext transport).
+	// TypeBlob is an opaque application payload. No message is defined
+	// for it; the codec frames and decodes it as raw bytes.
 	TypeBlob Type = 9
 	// TypeEvalKeys carries one chunk of a session's packed-evaluation
 	// key upload (relin key, Galois keys, encrypted symmetric key) —
@@ -287,21 +284,4 @@ func (c *Codec) ReadFrameInto(scratch []byte) (Type, []byte, error) {
 		}
 	}
 	return t, payload, nil
-}
-
-// WriteBlob frames an opaque application payload.
-func (c *Codec) WriteBlob(payload []byte) error {
-	return c.WriteFrame(TypeBlob, payload)
-}
-
-// ReadBlob reads one frame and requires it to be a TypeBlob.
-func (c *Codec) ReadBlob() ([]byte, error) {
-	t, payload, err := c.ReadFrame()
-	if err != nil {
-		return nil, err
-	}
-	if t != TypeBlob {
-		return nil, fmt.Errorf("%w: got %v, want %v", ErrBadMessage, t, TypeBlob)
-	}
-	return payload, nil
 }
