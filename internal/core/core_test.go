@@ -1,32 +1,50 @@
+// Package core holds the system-level checks of the reproduction: one
+// PASTA-4 (ω = 17) key opened on every substrate of the backend registry
+// must give the same ciphertexts, and the modelled cycle, area and energy
+// figures for that configuration must agree with the paper. It has no
+// library code of its own; everything under test lives in
+// internal/backend and internal/hw.
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/cipher"
 	"repro/internal/ff"
+	"repro/internal/hw"
+	"repro/internal/hw/area"
 	"repro/internal/pasta"
 )
 
-func newSystem(t *testing.T) *System {
+// headline is the paper's headline configuration: PASTA-4, ω = 17.
+var headline = pasta.MustParams(pasta.Pasta4, ff.P17)
+
+// open opens the named substrate keyed for the headline configuration.
+func open(t *testing.T, name string) backend.BlockCipher {
 	t.Helper()
-	par := pasta.MustParams(pasta.Pasta4, ff.P17)
-	s, err := NewSystem(DefaultConfig, pasta.KeyFromSeed(par, "core"))
+	b, err := backend.Open(name, backend.Config{
+		CipherParams: cipher.Params{Variant: 4, Width: 17},
+		Key:          ff.Vec(pasta.KeyFromSeed(headline, "core")),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	t.Cleanup(func() { b.Close() })
+	return b
 }
 
 func TestSoftwareRoundTrip(t *testing.T) {
-	s := newSystem(t)
+	ctx := context.Background()
+	sw := open(t, backend.NameSoftware)
 	msg := ff.Vec{1, 2, 3, 4, 5}
-	ct, err := s.Encrypt(10, msg)
+	ct, err := sw.Encrypt(ctx, 10, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := s.Decrypt(10, ct)
+	back, err := sw.Decrypt(ctx, 10, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,127 +54,94 @@ func TestSoftwareRoundTrip(t *testing.T) {
 }
 
 func TestAcceleratedMatchesSoftware(t *testing.T) {
-	s := newSystem(t)
+	ctx := context.Background()
 	msg := ff.NewVec(70) // 3 blocks, last partial
 	for i := range msg {
 		msg[i] = uint64(i * 13)
 	}
-	want, err := s.Encrypt(4, msg)
+	want, err := open(t, backend.NameSoftware).Encrypt(ctx, 4, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, rep, err := s.EncryptAccelerated(4, msg)
+	accel := open(t, backend.NameAccel)
+	got, err := accel.Encrypt(ctx, 4, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
 		t.Fatal("accelerated ciphertext differs from software")
 	}
-	if rep.Blocks != 3 {
-		t.Fatalf("blocks = %d, want 3", rep.Blocks)
+	st := accel.Stats()
+	if st.Blocks != 3 {
+		t.Fatalf("blocks = %d, want 3", st.Blocks)
 	}
-	if rep.CyclesPerBlock < 1400 || rep.CyclesPerBlock > 1900 {
-		t.Fatalf("cycles/block = %d, want ≈1,600", rep.CyclesPerBlock)
+	if perBlock := st.AccelCycles / st.Blocks; perBlock < 1400 || perBlock > 1900 {
+		t.Fatalf("cycles/block = %d, want ≈1,600", perBlock)
 	}
-	if rep.ASICMicros >= rep.FPGAMicros {
+	if hw.Microseconds(st.AccelCycles, hw.ASICHz) >= hw.Microseconds(st.AccelCycles, hw.FPGAHz) {
 		t.Fatal("ASIC slower than FPGA?")
 	}
 }
 
 func TestSoCPathMatches(t *testing.T) {
-	s := newSystem(t)
+	ctx := context.Background()
 	msg := ff.NewVec(32)
 	for i := range msg {
 		msg[i] = uint64(i)
 	}
-	want, err := s.Encrypt(9, msg)
+	want, err := open(t, backend.NameSoftware).Encrypt(ctx, 9, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := s.EncryptOnSoC(9, msg)
+	soc := open(t, backend.NameSoC)
+	got, err := soc.Encrypt(ctx, 9, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
 		t.Fatal("SoC ciphertext differs")
 	}
-	if stats.Blocks != 1 {
-		t.Fatalf("blocks = %d", stats.Blocks)
+	if st := soc.Stats(); st.Blocks != 1 || st.CoreCycles == 0 {
+		t.Fatalf("SoC stats not accounted: %+v", st)
 	}
 }
 
 func TestAreaReport(t *testing.T) {
-	s := newSystem(t)
-	a, err := s.Area()
+	cfg := area.Config{T: headline.T, W: headline.Mod.Bits()}
+	if dsp := area.Resources(cfg).DSP; dsp != 64 {
+		t.Errorf("DSP = %d, want 64 (Table I)", dsp)
+	}
+	a28, err := area.ASICmm2(cfg, area.Node28nm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.FPGA.DSP != 64 {
-		t.Errorf("DSP = %d, want 64 (Table I)", a.FPGA.DSP)
+	a7, err := area.ASICmm2(cfg, area.Node7nm)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.ASIC28mm2 < 0.2 || a.ASIC28mm2 > 0.3 {
-		t.Errorf("28nm area = %.3f, want ≈0.24", a.ASIC28mm2)
+	if a28 < 0.2 || a28 > 0.3 {
+		t.Errorf("28nm area = %.3f, want ≈0.24", a28)
 	}
-	if a.ASIC7mm2 >= a.ASIC28mm2 {
+	if a7 >= a28 {
 		t.Error("7nm not smaller than 28nm")
 	}
 }
 
-func TestNewSystemValidation(t *testing.T) {
-	if _, err := NewSystem(Config{Variant: pasta.Pasta4, Width: 19}, nil); err == nil {
-		t.Fatal("bad width accepted")
-	}
-	if _, err := NewSystem(Config{Variant: pasta.Toy, Width: 17}, nil); err == nil {
-		t.Fatal("toy variant accepted by NewSystem")
-	}
-	// nil key samples a fresh one.
-	s, err := NewSystem(DefaultConfig, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Encrypt(1, ff.Vec{1}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBackendAccessorAndStats(t *testing.T) {
-	s := newSystem(t)
-	defer s.Close()
-	sw, err := s.Backend(backend.NameSoftware)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := s.Backend(backend.NameSoftware)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sw != again {
-		t.Fatal("Backend did not cache the opened instance")
-	}
-	if _, err := s.Backend("no-such-substrate"); !errors.Is(err, backend.ErrUnknownBackend) {
+	if _, err := backend.Open("no-such-substrate", backend.Config{}); !errors.Is(err, backend.ErrUnknownBackend) {
 		t.Fatalf("want ErrUnknownBackend, got %v", err)
 	}
-	if _, _, err := s.EncryptAccelerated(3, ff.NewVec(5)); err != nil {
+	accel := open(t, backend.NameAccel)
+	if _, err := accel.Encrypt(context.Background(), 3, ff.NewVec(5)); err != nil {
 		t.Fatal(err)
 	}
-	stats := s.Stats()
-	if len(stats) != 2 { // software (eager) + accel
-		t.Fatalf("stats for %d backends, want 2", len(stats))
-	}
-	var accel backend.Stats
-	for _, st := range stats {
-		if st.Backend == backend.NameAccel {
-			accel = st
-		}
-	}
-	if accel.Blocks != 1 || accel.AccelCycles == 0 {
-		t.Fatalf("accel stats not accounted: %+v", accel)
+	if st := accel.Stats(); st.Backend != backend.NameAccel || st.Blocks != 1 || st.AccelCycles == 0 {
+		t.Fatalf("accel stats not accounted: %+v", st)
 	}
 }
 
 func TestEnergyReport(t *testing.T) {
-	s := newSystem(t)
-	rows, err := s.EnergyReport(1591)
+	rows, err := area.Energies(1591, headline.T)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +151,7 @@ func TestEnergyReport(t *testing.T) {
 	if rows[0].BlockUJ <= 0 {
 		t.Fatal("nonpositive energy")
 	}
-	if _, err := s.EnergyReport(0); err != nil {
+	if _, err := area.Energies(0, headline.T); err != nil {
 		t.Fatal(err) // zero cycles is fine (zero energy), only elements must be positive
 	}
 }

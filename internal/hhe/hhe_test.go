@@ -1,241 +1,153 @@
 package hhe
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/backend"
 	"repro/internal/bfv"
+	"repro/internal/cipher"
 	"repro/internal/ff"
 	"repro/internal/pasta"
 )
 
-func setup(t *testing.T, size, rounds int) (*Client, *Server, Params) {
-	t.Helper()
-	par, err := NewToyParams(size, rounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := pasta.KeyFromSeed(par.Pasta, "hhe-test")
-	client, err := NewClient(par, key, []byte{42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	server, err := NewServer(par, client.Context(), client.EvalKeys())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return client, server, par
-}
-
-// TestEvalKeystreamMatchesPlain is the core HHE correctness property:
-// decrypting the homomorphically evaluated keystream must equal the plain
-// PASTA keystream.
+// TestEvalKeystreamMatchesPlain: on the t=2, R=2 instance, the keystream
+// the server evaluates once per (nonce, block) decrypts to the plain PASTA
+// keystream for every counter of the nonce.
 func TestEvalKeystreamMatchesPlain(t *testing.T) {
-	client, server, par := setup(t, 2, 2)
-	cts, err := server.EvalKeystream(7, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := client.DecryptResult(cts)
-	cipher, _ := pasta.NewCipher(par.Pasta, pasta.KeyFromSeed(par.Pasta, "hhe-test"))
-	want := cipher.KeyStream(7, 0)
-	if !got.Equal(want) {
-		t.Fatalf("homomorphic keystream %v != plain %v", got, want)
+	client, server, par := packedSetup(t, 2, 2)
+	plain, _ := pasta.NewCipher(par.Pasta, pasta.KeyFromSeed(par.Pasta, "packed-test"))
+	for block := uint64(0); block < 2; block++ {
+		ct, err := server.EvalKeystream(7, block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := client.DecryptPacked(ct, par.Pasta.T)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := plain.KeyStream(7, block); !got.Equal(want) {
+			t.Fatalf("block %d: homomorphic keystream %v != plain %v", block, got, want)
+		}
 	}
 }
 
-// TestEndToEndTranscipher: Fig. 1's full round trip — client PASTA
-// encryption, server homomorphic decryption, client FHE decryption.
+// TestEndToEndTranscipher: Fig. 1's round trip on the t=2, R=2 instance
+// through the precomputed-keystream path the serving tier takes —
+// EvalKeystream once, then TranscipherWith — which must agree with the
+// one-shot Transcipher.
 func TestEndToEndTranscipher(t *testing.T) {
-	client, server, _ := setup(t, 2, 2)
+	client, server, _ := packedSetup(t, 2, 2)
 	msg := ff.Vec{12345, 54321}
 	symCt, err := client.EncryptBlock(3, 0, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fheCts, err := server.Transcipher(3, 0, symCt)
+	ks, err := server.EvalKeystream(3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := client.DecryptResult(fheCts)
-	if !got.Equal(msg) {
-		t.Fatalf("transciphered message %v != original %v", got, msg)
+	cached, err := server.TranscipherWith(ks, symCt)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestTranscipherMultipleBlocks: block counters separate keystreams.
-func TestTranscipherMultipleBlocks(t *testing.T) {
-	client, server, _ := setup(t, 2, 1)
-	for block := uint64(0); block < 2; block++ {
-		msg := ff.Vec{1000 * (block + 1), 2000 * (block + 1)}
-		symCt, err := client.EncryptBlock(9, block, msg)
+	oneShot, err := server.Transcipher(3, 0, symCt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path string
+		ct   *bfv.Ciphertext
+	}{
+		{"TranscipherWith", cached},
+		{"Transcipher", oneShot},
+	} {
+		got, err := client.DecryptPacked(tc.ct, len(msg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fheCts, err := server.Transcipher(9, block, symCt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := client.DecryptResult(fheCts); !got.Equal(msg) {
-			t.Fatalf("block %d: %v != %v", block, got, msg)
+		if !got.Equal(msg) {
+			t.Fatalf("%s: transciphered message %v != original %v", tc.path, got, msg)
 		}
 	}
 }
 
-// TestServerComputesOnTransciphered: after transciphering, the server can
-// keep computing homomorphically (add two encrypted messages).
-func TestServerComputesOnTransciphered(t *testing.T) {
-	client, server, par := setup(t, 2, 1)
-	m1 := ff.Vec{11, 22}
-	m2 := ff.Vec{100, 200}
-	ct1, err := client.EncryptBlock(1, 0, m1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct2, err := client.EncryptBlock(1, 1, m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1, err := server.Transcipher(1, 0, ct1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := server.Transcipher(1, 1, ct2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum0 := server.ctx.Add(f1[0], f2[0])
-	sum1 := server.ctx.Add(f1[1], f2[1])
-	res := client.DecryptResult([]*bfv.Ciphertext{sum0, sum1})
-	want := ff.Vec{par.Pasta.Mod.Add(m1[0], m2[0]), par.Pasta.Mod.Add(m1[1], m2[1])}
-	if !res.Equal(want) {
-		t.Fatalf("homomorphic sum %v != %v", res, want)
-	}
-}
-
-func TestValidation(t *testing.T) {
-	par, err := NewToyParams(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewToyParams(0, 1); err == nil {
-		t.Fatal("t=0 accepted")
-	}
-	client, err := NewClient(par, pasta.KeyFromSeed(par.Pasta, "v"), []byte{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := client.EvalKeys()
-	keys.Key = keys.Key[:1]
-	if _, err := NewServer(par, client.Context(), keys); err == nil {
-		t.Fatal("short encrypted key accepted")
-	}
-	bad := par
-	bad.BFV.T = 97
-	if bad.Validate() == nil {
-		t.Fatal("modulus mismatch accepted")
-	}
-	if _, err := client.EncryptBlock(0, 0, ff.NewVec(par.Pasta.T+1)); err == nil {
-		t.Fatal("oversized block accepted")
-	}
-	server, _ := NewServer(par, client.Context(), client.EvalKeys())
-	if _, err := server.Transcipher(0, 0, ff.NewVec(par.Pasta.T+1)); err == nil {
-		t.Fatal("oversized symmetric block accepted")
-	}
-}
-
-// TestClientPrecomputedKeystream: masking with a precomputed keystream
-// must equal on-the-fly bulk encryption, and the server must transcipher
-// such ciphertexts exactly as any other.
+// TestClientPrecomputedKeystream: a block masked by hand with a keystream
+// precomputed from the plain cipher equals the client's EncryptBlock, and
+// the server transciphers it exactly as any other ciphertext.
 func TestClientPrecomputedKeystream(t *testing.T) {
-	client, server, par := setup(t, 2, 1)
-	tt := par.Pasta.T
-	msg := ff.Vec{11, 22, 33, 44, 55}[:tt+1] // spans two blocks
-	nonce := uint64(6)
+	client, server, par := packedSetup(t, 2, 1)
+	plain, _ := pasta.NewCipher(par.Pasta, pasta.KeyFromSeed(par.Pasta, "packed-test"))
+	mod := par.Pasta.Mod
+	msg := ff.Vec{11, 22}
+	const nonce, block = 6, 1
 
-	ks, err := client.PrecomputeKeystream(nonce, 2)
+	ks := plain.KeyStream(nonce, block)
+	masked := ff.NewVec(len(msg))
+	for i := range msg {
+		masked[i] = mod.Add(msg[i], ks[i])
+	}
+	direct, err := client.EncryptBlock(nonce, block, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ks) != 2*tt {
-		t.Fatalf("precomputed keystream has %d elements, want %d", len(ks), 2*tt)
+	if !masked.Equal(direct) {
+		t.Fatalf("precomputed-keystream mask %v differs from EncryptBlock %v", masked, direct)
 	}
-	fromKS, err := client.MaskWith(ks, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := client.Encrypt(nonce, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fromKS.Equal(direct) {
-		t.Fatal("precomputed-keystream encryption differs from bulk Encrypt")
-	}
-	back, err := client.DecryptSymmetric(nonce, fromKS)
+	back, err := plain.DecryptBlock(nonce, block, masked)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !back.Equal(msg) {
 		t.Fatal("symmetric decrypt failed")
 	}
-
-	// Transcipher the first block of the precomputed-keystream ciphertext.
-	cts, err := server.Transcipher(nonce, 0, fromKS[:tt])
+	fheCt, err := server.Transcipher(nonce, block, masked)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := client.DecryptResult(cts); !got.Equal(msg[:tt]) {
-		t.Fatalf("transciphered precomputed block = %v, want %v", got, msg[:tt])
-	}
-
-	// Validation paths.
-	if _, err := client.MaskWith(ks[:1], msg); err == nil {
-		t.Fatal("short keystream accepted")
-	}
-	if _, err := client.MaskWith(ks, ff.Vec{par.Pasta.Mod.P()}); err == nil {
-		t.Fatal("out-of-range message accepted")
+	if got, err := client.DecryptPacked(fheCt, len(msg)); err != nil || !got.Equal(msg) {
+		t.Fatalf("transciphered precomputed block = %v (%v), want %v", got, err, msg)
 	}
 }
 
-// TestClientOnAccelBackend runs the client's symmetric side on the
-// cycle-accurate accelerator model: ciphertexts must be bit-identical to
-// the software backend's (same key, same toy instance), and the backend
-// must account the work it modelled.
+// TestClientOnAccelBackend: the symmetric side computed on the
+// cycle-accurate accelerator model (same key, same toy instance) is
+// bit-identical to the client's, transciphers to the message, and the
+// backend accounts the work it modelled.
 func TestClientOnAccelBackend(t *testing.T) {
-	par, err := NewToyParams(2, 1)
+	client, server, par := packedSetup(t, 2, 1)
+	accel, err := backend.Open(backend.NameAccel, backend.Config{
+		CipherParams: cipher.Params{T: par.Pasta.T, Rounds: par.Pasta.Rounds, Mod: par.Pasta.Mod},
+		Key:          ff.Vec(pasta.KeyFromSeed(par.Pasta, "packed-test")),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := pasta.KeyFromSeed(par.Pasta, "hhe-accel")
-	onAccel, err := NewClientOn(backend.NameAccel, par, key, []byte{1})
+	defer accel.Close()
+	msg := ff.Vec{3, 1, 4, 1, 5} // three blocks, the last one short
+	ctA, err := accel.Encrypt(context.Background(), 9, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	onSoftware, err := NewClient(par, key, []byte{1})
-	if err != nil {
-		t.Fatal(err)
+	tt := par.Pasta.T
+	for block := 0; block*tt < len(msg); block++ {
+		lo, hi := block*tt, min((block+1)*tt, len(msg))
+		ctC, err := client.EncryptBlock(9, uint64(block), msg[lo:hi])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ctC.Equal(ctA[lo:hi]) {
+			t.Fatalf("block %d: accelerator ciphertext %v differs from client %v", block, ctA[lo:hi], ctC)
+		}
+		fheCt, err := server.Transcipher(9, uint64(block), ctA[lo:hi])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := client.DecryptPacked(fheCt, hi-lo); err != nil || !got.Equal(msg[lo:hi]) {
+			t.Fatalf("block %d: transciphered %v (%v), want %v", block, got, err, msg[lo:hi])
+		}
 	}
-	msg := ff.Vec{3, 1, 4, 1, 5}
-	ctA, err := onAccel.Encrypt(9, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctS, err := onSoftware.Encrypt(9, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ctA.Equal(ctS) {
-		t.Fatal("accelerator-backed client ciphertext differs from software")
-	}
-	back, err := onSoftware.DecryptSymmetric(9, ctA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(msg) {
-		t.Fatal("cross-substrate HHE roundtrip failed")
-	}
-	st := onAccel.SymmetricBackend().Stats()
-	if st.Backend != backend.NameAccel || st.Blocks == 0 || st.AccelCycles == 0 {
+	if st := accel.Stats(); st.Backend != backend.NameAccel || st.Blocks != 3 || st.AccelCycles == 0 {
 		t.Fatalf("accel backend did not account modelled work: %+v", st)
 	}
 }
