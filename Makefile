@@ -35,11 +35,12 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Machine-readable benchmark reports: the RLWE/BFV fast-path numbers
-# (NTT, polynomial products, encryption) and the PASTA keystream numbers,
-# each as JSON via cmd/benchjson for CI diffing.
+# (NTT, polynomial products, encryption, ciphertext and eval-key
+# serialization) and the PASTA keystream numbers, each as JSON via
+# cmd/benchjson for CI diffing.
 bench-json:
-	$(GO) test -run '^$$' -bench 'NTT|MulPolyInto|BFVEncrypt|PKEEncrypt|Table3PKE' -benchmem \
-		./internal/rlwe ./internal/bfv . | $(GO) run ./cmd/benchjson -out BENCH_rlwe.json
+	$(GO) test -run '^$$' -bench 'NTT|MulPolyInto|BFVEncrypt|PKEEncrypt|Table3PKE|CiphertextMarshal|CiphertextUnmarshal|UnmarshalEvalKeys' -benchmem \
+		./internal/rlwe ./internal/bfv ./internal/hhe . | $(GO) run ./cmd/benchjson -out BENCH_rlwe.json
 	$(GO) test -run '^$$' -bench 'Table2CPUSoftware|KeyStream|MastaKeystream|AccelKeystream|AccelFarm|BackendDispatch|ServerThroughput|ServerOverhead|TranscipherBlock' -benchmem \
 		./internal/pasta ./internal/masta ./internal/backend ./internal/hw ./internal/server ./internal/transcipher . | $(GO) run ./cmd/benchjson -out BENCH_pasta.json
 
@@ -60,11 +61,14 @@ bench-guard:
 
 # Short fuzz runs of the differential harnesses: the lazy NTT product
 # against the schoolbook oracle, the structured modular reductions
-# against the generic one, the wire decoder, and the event-driven
-# accelerator engine against the per-cycle oracle.
+# against the generic one, the bit packer against its bit-loop
+# reference, the BFV ciphertext parser, the wire decoder, and the
+# event-driven accelerator engine against the per-cycle oracle.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMulPoly -fuzztime 5s ./internal/rlwe
 	$(GO) test -run '^$$' -fuzz FuzzDotLazyAgainstNaive -fuzztime 5s ./internal/ff
+	$(GO) test -run '^$$' -fuzz FuzzPackBits -fuzztime 5s ./internal/ff
+	$(GO) test -run '^$$' -fuzz FuzzUnmarshalCiphertext -fuzztime 5s ./internal/bfv
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzAccelEventStep -fuzztime 5s ./internal/hw
 

@@ -109,7 +109,7 @@ func runClient(addr string, params hhe.Params) error {
 		return err
 	}
 	setupBytes := conn.sent.Load()
-	fmt.Printf("[client] one-time setup sent: %d bytes (session open + BFV pk/rlk/Galois keys + Enc(K))\n", setupBytes)
+	fmt.Printf("[client] one-time setup sent: %d bytes (session open + BFV rlk/Galois keys + Enc(K))\n", setupBytes)
 
 	// --- steady-state data traffic -------------------------------------------
 	messages := []ff.Vec{{1111, 2222}, {3333, 4444}, {55, 65000}}

@@ -294,14 +294,6 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 func TestKeyMarshalRoundTrip(t *testing.T) {
 	ctx, enc, sk, pk, rlk, g := encoderContext(t)
 
-	pkBlob, err := pk.MarshalBinary(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pk2, err := ctx.UnmarshalPublicKey(pkBlob)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rlkBlob, err := rlk.MarshalBinary(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -311,10 +303,9 @@ func TestKeyMarshalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Encrypt with the round-tripped pk, multiply with the round-tripped
-	// rlk, decrypt with the original sk.
+	// Multiply with the round-tripped rlk, decrypt with the original sk.
 	pt, _ := enc.Encode([]uint64{123, 456})
-	ct := ctx.Encrypt(pk2, pt, g)
+	ct := ctx.Encrypt(pk, pt, g)
 	prod, err := ctx.Mul(ct, ct, rlk2)
 	if err != nil {
 		t.Fatal(err)
@@ -324,10 +315,7 @@ func TestKeyMarshalRoundTrip(t *testing.T) {
 		t.Fatalf("round-tripped keys broken: %v", got[:2])
 	}
 
-	if _, err := ctx.UnmarshalPublicKey(rlkBlob); err == nil {
-		t.Fatal("rlk blob accepted as pk")
-	}
-	if _, err := ctx.UnmarshalRelinKey(pkBlob); err == nil {
-		t.Fatal("pk blob accepted as rlk")
+	if _, err := ctx.UnmarshalGaloisKeys(rlkBlob); err == nil {
+		t.Fatal("rlk blob accepted as galois keys")
 	}
 }

@@ -17,24 +17,18 @@ import (
 
 const ctMagic = 0x42465601 // "BFV",1
 
-// MarshalBinary serializes the ciphertext.
+// MarshalBinary serializes the ciphertext into one allocation of its
+// exact size.
 func (ct *Ciphertext) MarshalBinary(c *Context) ([]byte, error) {
-	var out []byte
+	out := make([]byte, 0, 12+len(ct.C)*c.polyBytes())
 	out = binary.LittleEndian.AppendUint32(out, ctMagic)
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(ct.C)))
 	out = binary.LittleEndian.AppendUint16(out, uint16(c.RQ.Level()))
 	out = binary.LittleEndian.AppendUint32(out, uint32(c.Params.N))
+	var err error
 	for _, poly := range ct.C {
-		if len(poly) != c.RQ.Level() {
-			return nil, fmt.Errorf("bfv: ciphertext level mismatch")
-		}
-		for l, ring := range c.RQ.Rings {
-			w := uint(bits.Len64(ring.Q - 1))
-			packed, err := ff.PackBits(ff.Vec(poly[l]), w)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, packed...)
+		if out, err = c.marshalRNSPoly(out, poly); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
@@ -58,32 +52,16 @@ func (c *Context) UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
 	if nPolys < 2 || nPolys > 8 {
 		return nil, fmt.Errorf("bfv: implausible ciphertext degree %d", nPolys-1)
 	}
-	off := 12
-	ct := &Ciphertext{}
-	for p := 0; p < nPolys; p++ {
-		poly := c.RQ.NewPoly()
-		for l, ring := range c.RQ.Rings {
-			w := uint(bits.Len64(ring.Q - 1))
-			sz := ff.PackedSize(n, w)
-			if off+sz > len(data) {
-				return nil, fmt.Errorf("bfv: truncated ciphertext blob")
-			}
-			vals, err := ff.UnpackBits(data[off:off+sz], n, w)
-			if err != nil {
-				return nil, err
-			}
-			for i, v := range vals {
-				if v >= ring.Q {
-					return nil, fmt.Errorf("bfv: residue %d out of range for prime %d", v, ring.Q)
-				}
-				poly[l][i] = v
-			}
-			off += sz
-		}
-		ct.C = append(ct.C, poly)
+	if want := 12 + nPolys*c.polyBytes(); len(data) != want {
+		return nil, fmt.Errorf("bfv: ciphertext blob has %d bytes, want %d", len(data), want)
 	}
-	if off != len(data) {
-		return nil, fmt.Errorf("bfv: %d trailing bytes in ciphertext blob", len(data)-off)
+	ct := &Ciphertext{C: make([]rlwe.RNSPoly, nPolys)}
+	off := 12
+	var err error
+	for i := range ct.C {
+		if ct.C[i], off, err = c.unmarshalRNSPoly(data, off); err != nil {
+			return nil, err
+		}
 	}
 	return ct, nil
 }
@@ -91,88 +69,68 @@ func (c *Context) UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
 // --- key material serialization ---------------------------------------------
 
 const (
-	pkMagic  = 0x42465602
 	rlkMagic = 0x42465603
 	gkMagic  = 0x42465604
 	parMagic = 0x42465605
 )
 
+// limbWidth is the packed bit width of residues modulo q.
+func limbWidth(q uint64) uint { return uint(bits.Len64(q - 1)) }
+
+// polyBytes is the packed size of one RNS polynomial: each limb's N
+// residues at its prime's width.
+func (c *Context) polyBytes() int {
+	sz := 0
+	for _, ring := range c.RQ.Rings {
+		sz += ff.PackedSize(c.Params.N, limbWidth(ring.Q))
+	}
+	return sz
+}
+
 // marshalRNSPoly appends the bit-packed residues of p.
 func (c *Context) marshalRNSPoly(out []byte, p rlwe.RNSPoly) ([]byte, error) {
+	if len(p) != c.RQ.Level() {
+		return nil, fmt.Errorf("bfv: polynomial has %d limbs, context %d", len(p), c.RQ.Level())
+	}
+	var err error
 	for l, ring := range c.RQ.Rings {
-		w := uint(bits.Len64(ring.Q - 1))
-		packed, err := ff.PackBits(ff.Vec(p[l]), w)
-		if err != nil {
+		if out, err = ff.AppendPackBits(out, ff.Vec(p[l]), limbWidth(ring.Q)); err != nil {
 			return nil, err
 		}
-		out = append(out, packed...)
 	}
 	return out, nil
 }
 
-// unmarshalRNSPoly reads one RNS polynomial, returning the new offset.
+// unmarshalRNSPoly reads one RNS polynomial at data[off:], unpacking
+// straight into its limbs and range-checking every residue, and returns
+// the offset past it.
 func (c *Context) unmarshalRNSPoly(data []byte, off int) (rlwe.RNSPoly, int, error) {
 	p := c.RQ.NewPoly()
 	for l, ring := range c.RQ.Rings {
-		w := uint(bits.Len64(ring.Q - 1))
-		sz := ff.PackedSize(c.Params.N, w)
-		if off+sz > len(data) {
+		w := limbWidth(ring.Q)
+		end := off + ff.PackedSize(c.Params.N, w)
+		if end > len(data) {
 			return nil, 0, fmt.Errorf("bfv: truncated polynomial")
 		}
-		vals, err := ff.UnpackBits(data[off:off+sz], c.Params.N, w)
-		if err != nil {
+		if err := ff.UnpackBitsInto(ff.Vec(p[l]), data[off:end], w); err != nil {
 			return nil, 0, err
 		}
-		for i, v := range vals {
+		for _, v := range p[l] {
 			if v >= ring.Q {
-				return nil, 0, fmt.Errorf("bfv: residue out of range")
+				return nil, 0, fmt.Errorf("bfv: residue %d out of range for prime %d", v, ring.Q)
 			}
-			p[l][i] = v
 		}
-		off += sz
+		off = end
 	}
 	return p, off, nil
 }
 
-// MarshalPublicKey serializes pk.
-func (pk *PublicKey) MarshalBinary(c *Context) ([]byte, error) {
-	out := binary.LittleEndian.AppendUint32(nil, pkMagic)
+// marshalPairs appends a key-switching key: its digit count, then each
+// decomposition pair.
+func (c *Context) marshalPairs(out []byte, pairs [][2]rlwe.RNSPoly) ([]byte, error) {
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(pairs)))
 	var err error
-	for _, p := range []rlwe.RNSPoly{pk.P0, pk.P1} {
-		if out, err = c.marshalRNSPoly(out, p); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// UnmarshalPublicKey parses a public key for this context.
-func (c *Context) UnmarshalPublicKey(data []byte) (*PublicKey, error) {
-	if len(data) < 4 || binary.LittleEndian.Uint32(data) != pkMagic {
-		return nil, fmt.Errorf("bfv: bad public-key blob")
-	}
-	off := 4
-	p0, off, err := c.unmarshalRNSPoly(data, off)
-	if err != nil {
-		return nil, err
-	}
-	p1, off, err := c.unmarshalRNSPoly(data, off)
-	if err != nil {
-		return nil, err
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("bfv: trailing bytes in public-key blob")
-	}
-	return &PublicKey{P0: p0, P1: p1}, nil
-}
-
-// MarshalBinary serializes the relinearization key.
-func (rlk *RelinKey) MarshalBinary(c *Context) ([]byte, error) {
-	out := binary.LittleEndian.AppendUint32(nil, rlkMagic)
-	out = binary.LittleEndian.AppendUint16(out, uint16(rlk.base))
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(rlk.pairs)))
-	var err error
-	for _, pair := range rlk.pairs {
+	for _, pair := range pairs {
 		for _, p := range pair {
 			if out, err = c.marshalRNSPoly(out, p); err != nil {
 				return nil, err
@@ -182,33 +140,58 @@ func (rlk *RelinKey) MarshalBinary(c *Context) ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalRelinKey parses a relinearization key for this context.
-func (c *Context) UnmarshalRelinKey(data []byte) (*RelinKey, error) {
-	if len(data) < 8 || binary.LittleEndian.Uint32(data) != rlkMagic {
-		return nil, fmt.Errorf("bfv: bad relin-key blob")
+// pairsBytes is the encoded size of a key-switching key of the given
+// digit count.
+func (c *Context) pairsBytes(digits int) int { return 2 + 2*digits*c.polyBytes() }
+
+// unmarshalPairs reads a key-switching key written by marshalPairs at
+// data[off:] and returns the offset past it. The blob must hold every
+// digit before any polynomial is allocated.
+func (c *Context) unmarshalPairs(data []byte, off int) ([][2]rlwe.RNSPoly, int, error) {
+	if off+2 > len(data) {
+		return nil, 0, fmt.Errorf("bfv: truncated key blob")
 	}
-	base := uint(binary.LittleEndian.Uint16(data[4:]))
-	digits := int(binary.LittleEndian.Uint16(data[6:]))
+	digits := int(binary.LittleEndian.Uint16(data[off:]))
 	if digits < 1 || digits > 64 {
-		return nil, fmt.Errorf("bfv: implausible digit count %d", digits)
+		return nil, 0, fmt.Errorf("bfv: implausible digit count %d", digits)
 	}
-	rlk := &RelinKey{base: base}
-	off := 8
-	for k := 0; k < digits; k++ {
-		var pair [2]rlwe.RNSPoly
-		var err error
-		for j := 0; j < 2; j++ {
-			pair[j], off, err = c.unmarshalRNSPoly(data, off)
-			if err != nil {
-				return nil, err
+	if off+c.pairsBytes(digits) > len(data) {
+		return nil, 0, fmt.Errorf("bfv: truncated key blob")
+	}
+	off += 2
+	pairs := make([][2]rlwe.RNSPoly, digits)
+	var err error
+	for k := range pairs {
+		for j := range pairs[k] {
+			if pairs[k][j], off, err = c.unmarshalRNSPoly(data, off); err != nil {
+				return nil, 0, err
 			}
 		}
-		rlk.pairs = append(rlk.pairs, pair)
+	}
+	return pairs, off, nil
+}
+
+// MarshalBinary serializes the relinearization key.
+func (rlk *RelinKey) MarshalBinary(c *Context) ([]byte, error) {
+	out := make([]byte, 0, 6+c.pairsBytes(len(rlk.pairs)))
+	out = binary.LittleEndian.AppendUint32(out, rlkMagic)
+	out = binary.LittleEndian.AppendUint16(out, uint16(rlk.base))
+	return c.marshalPairs(out, rlk.pairs)
+}
+
+// UnmarshalRelinKey parses a relinearization key for this context.
+func (c *Context) UnmarshalRelinKey(data []byte) (*RelinKey, error) {
+	if len(data) < 6 || binary.LittleEndian.Uint32(data) != rlkMagic {
+		return nil, fmt.Errorf("bfv: bad relin-key blob")
+	}
+	pairs, off, err := c.unmarshalPairs(data, 6)
+	if err != nil {
+		return nil, err
 	}
 	if off != len(data) {
 		return nil, fmt.Errorf("bfv: trailing bytes in relin-key blob")
 	}
-	return rlk, nil
+	return &RelinKey{base: uint(binary.LittleEndian.Uint16(data[4:])), pairs: pairs}, nil
 }
 
 // MarshalBinary serializes the Galois key set. Galois elements are
@@ -216,25 +199,22 @@ func (c *Context) UnmarshalRelinKey(data []byte) (*RelinKey, error) {
 // bytes (the e2e tests compare server replies byte-for-byte, and any
 // map-iteration nondeterminism here would leak into derived blobs).
 func (gks *GaloisKeys) MarshalBinary(c *Context) ([]byte, error) {
-	out := binary.LittleEndian.AppendUint32(nil, gkMagic)
-	out = binary.LittleEndian.AppendUint16(out, uint16(gks.base))
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(gks.keys)))
 	elems := make([]uint64, 0, len(gks.keys))
-	for g := range gks.keys {
+	size := 8
+	for g, pairs := range gks.keys {
 		elems = append(elems, g)
+		size += 8 + c.pairsBytes(len(pairs))
 	}
 	slices.Sort(elems)
+	out := make([]byte, 0, size)
+	out = binary.LittleEndian.AppendUint32(out, gkMagic)
+	out = binary.LittleEndian.AppendUint16(out, uint16(gks.base))
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(gks.keys)))
 	var err error
 	for _, g := range elems {
-		pairs := gks.keys[g]
 		out = binary.LittleEndian.AppendUint64(out, g)
-		out = binary.LittleEndian.AppendUint16(out, uint16(len(pairs)))
-		for _, pair := range pairs {
-			for _, p := range pair {
-				if out, err = c.marshalRNSPoly(out, p); err != nil {
-					return nil, err
-				}
-			}
+		if out, err = c.marshalPairs(out, gks.keys[g]); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
@@ -253,31 +233,18 @@ func (c *Context) UnmarshalGaloisKeys(data []byte) (*GaloisKeys, error) {
 	gks := &GaloisKeys{keys: map[uint64][][2]rlwe.RNSPoly{}, base: base}
 	off := 8
 	for k := 0; k < count; k++ {
-		if off+10 > len(data) {
+		if off+8 > len(data) {
 			return nil, fmt.Errorf("bfv: truncated galois-key blob")
 		}
 		g := binary.LittleEndian.Uint64(data[off:])
-		digits := int(binary.LittleEndian.Uint16(data[off+8:]))
-		off += 10
-		if digits < 1 || digits > 64 {
-			return nil, fmt.Errorf("bfv: implausible digit count %d", digits)
-		}
 		if _, dup := gks.keys[g]; dup {
 			return nil, fmt.Errorf("bfv: duplicate galois element %d", g)
 		}
-		var pairs [][2]rlwe.RNSPoly
-		for d := 0; d < digits; d++ {
-			var pair [2]rlwe.RNSPoly
-			var err error
-			for j := 0; j < 2; j++ {
-				pair[j], off, err = c.unmarshalRNSPoly(data, off)
-				if err != nil {
-					return nil, err
-				}
-			}
-			pairs = append(pairs, pair)
+		pairs, next, err := c.unmarshalPairs(data, off+8)
+		if err != nil {
+			return nil, err
 		}
-		gks.keys[g] = pairs
+		gks.keys[g], off = pairs, next
 	}
 	if off != len(data) {
 		return nil, fmt.Errorf("bfv: trailing bytes in galois-key blob")
@@ -349,11 +316,4 @@ func UnmarshalParams(data []byte) (Params, error) {
 
 // CiphertextBytes returns the wire size of a degree-1 ciphertext under
 // these parameters without materializing one.
-func (c *Context) CiphertextBytes() int {
-	sz := 12
-	for _, ring := range c.RQ.Rings {
-		w := uint(bits.Len64(ring.Q - 1))
-		sz += 2 * ff.PackedSize(c.Params.N, w)
-	}
-	return sz
-}
+func (c *Context) CiphertextBytes() int { return 12 + 2*c.polyBytes() }

@@ -2,6 +2,8 @@ package bfv
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"repro/internal/rlwe"
@@ -136,6 +138,101 @@ func TestParamsMarshalRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 3, 10, len(blob) - 1} {
 		if _, err := UnmarshalParams(blob[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", n)
+		}
+	}
+}
+
+// servedContext builds the BFV shape the transciphering tier serves
+// (N = 1024, four 55-bit primes, t = 65537) with seeded keys, so its
+// objects marshal to fixed bytes.
+func servedContext(tb testing.TB) (*Context, *SecretKey, *PublicKey, *RelinKey, *rlwe.PRNG) {
+	tb.Helper()
+	par, err := NewParams(1024, 55, 4, 65537)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ctx, err := NewContext(par)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g := rlwe.NewPRNG("marshal-golden", []byte{5})
+	sk, pk, rlk := ctx.KeyGen(g)
+	return ctx, sk, pk, rlk, g
+}
+
+// servedCiphertext encrypts a fixed full plaintext under pk.
+func servedCiphertext(ctx *Context, pk *PublicKey, g *rlwe.PRNG) *Ciphertext {
+	pt := ctx.NewPlaintext()
+	for i := range pt {
+		pt[i] = uint64(i*i+3) % ctx.Params.T
+	}
+	return ctx.Encrypt(pk, pt, g)
+}
+
+// TestMarshalGoldenHashes pins the serialized formats: the SHA-256 of a
+// seeded ciphertext, relinearization key and Galois key set must match
+// the recorded hashes, so any change to the bytes on the wire fails
+// here.
+func TestMarshalGoldenHashes(t *testing.T) {
+	ctx, sk, pk, rlk, g := servedContext(t)
+	ct := servedCiphertext(ctx, pk, g)
+	// GenGaloisKeys draws its keys in map order, so build the set in a
+	// fixed order to keep the randomness assignment seeded.
+	gks := &GaloisKeys{keys: map[uint64][][2]rlwe.RNSPoly{}, base: ctx.Params.RelinBits}
+	for _, k := range []int{1, 2, 3} {
+		gal := ctx.columnGalois(k)
+		gks.keys[gal] = ctx.genSwitchKey(g, sk, ctx.applyAutomorphismPoly(sk.sCoeff, gal))
+	}
+	for _, tc := range []struct {
+		name string
+		m    interface {
+			MarshalBinary(*Context) ([]byte, error)
+		}
+		want string
+	}{
+		{"ciphertext", ct, "677d7287d1e21de4af43b9456540c4fc75156cf50af9edb91c6a624db218772e"},
+		{"relin-key", rlk, "c7a64f80e8ccf7374c805c0521ea54e5f67513e41ac5b4845e7969c75026c20e"},
+		{"galois-keys", gks, "eb35ef0f13c03ae8fb504237d975b2a1c5ca5bd567227f244713377755b52fe0"},
+	} {
+		blob, err := tc.m.MarshalBinary(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != tc.want {
+			t.Errorf("%s: %d bytes hash to %s, want %s", tc.name, len(blob), got, tc.want)
+		}
+	}
+}
+
+// BenchmarkCiphertextMarshal serializes one 56 KB ciphertext at the
+// served shape.
+func BenchmarkCiphertextMarshal(b *testing.B) {
+	ctx, _, pk, _, g := servedContext(b)
+	ct := servedCiphertext(ctx, pk, g)
+	b.SetBytes(int64(ctx.CiphertextBytes()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ct.MarshalBinary(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCiphertextUnmarshal parses one 56 KB ciphertext at the
+// served shape.
+func BenchmarkCiphertextUnmarshal(b *testing.B) {
+	ctx, _, pk, _, g := servedContext(b)
+	blob, err := servedCiphertext(ctx, pk, g).MarshalBinary(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ctx.UnmarshalCiphertext(blob); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

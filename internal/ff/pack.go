@@ -12,34 +12,11 @@ func PackedSize(n int, bits uint) int {
 	return (n*int(bits) + 7) / 8
 }
 
-// PackBits serializes v with the given per-element bit width,
-// little-endian bit order. Elements must fit the width.
-func PackBits(v Vec, bits uint) ([]byte, error) {
-	if bits == 0 || bits > 64 {
-		return nil, fmt.Errorf("ff: invalid pack width %d", bits)
-	}
-	out := make([]byte, PackedSize(len(v), bits))
-	bitPos := 0
-	for i, e := range v {
-		if bits < 64 && e>>bits != 0 {
-			return nil, fmt.Errorf("ff: element %d = %d exceeds %d bits", i, e, bits)
-		}
-		for b := uint(0); b < bits; b++ {
-			if e>>b&1 == 1 {
-				out[bitPos/8] |= 1 << (bitPos % 8)
-			}
-			bitPos++
-		}
-	}
-	return out, nil
-}
-
-// AppendPackBits appends the packed encoding of v to dst and returns the
-// extended slice — the allocation-free variant of PackBits for hot wire
-// paths (dst is typically a pooled frame buffer). The encoding is
-// bit-identical to PackBits; elements must fit the width. Unlike the
-// reference bit-loop it packs through a 64-bit accumulator, one byte
-// store per output byte.
+// AppendPackBits appends the encoding of v at the given per-element bit
+// width to dst, little-endian bit order, and returns the extended slice
+// (dst is typically a pooled frame buffer or a presized blob, so the
+// append does not allocate). Elements must fit the width. It packs
+// through a 64-bit accumulator, one byte store per output byte.
 func AppendPackBits(dst []byte, v Vec, bits uint) ([]byte, error) {
 	if bits == 0 || bits > 64 {
 		return nil, fmt.Errorf("ff: invalid pack width %d", bits)
@@ -82,9 +59,9 @@ func AppendPackBits(dst []byte, v Vec, bits uint) ([]byte, error) {
 	return dst, nil
 }
 
-// UnpackBitsInto inverts PackBits for exactly len(dst) elements without
-// allocating — the hot-path counterpart of UnpackBits. data must hold at
-// least PackedSize(len(dst), bits) bytes.
+// UnpackBitsInto inverts AppendPackBits for exactly len(dst) elements
+// without allocating. data must hold at least PackedSize(len(dst), bits)
+// bytes.
 func UnpackBitsInto(dst Vec, data []byte, bits uint) error {
 	if bits == 0 || bits > 64 {
 		return fmt.Errorf("ff: invalid pack width %d", bits)
@@ -126,27 +103,4 @@ func UnpackBitsInto(dst Vec, data []byte, bits uint) error {
 	next:
 	}
 	return nil
-}
-
-// UnpackBits inverts PackBits for n elements.
-func UnpackBits(data []byte, n int, bits uint) (Vec, error) {
-	if bits == 0 || bits > 64 {
-		return nil, fmt.Errorf("ff: invalid pack width %d", bits)
-	}
-	if len(data) < PackedSize(n, bits) {
-		return nil, fmt.Errorf("ff: %d bytes too short for %d × %d-bit elements", len(data), n, bits)
-	}
-	v := NewVec(n)
-	bitPos := 0
-	for i := 0; i < n; i++ {
-		var e uint64
-		for b := uint(0); b < bits; b++ {
-			if data[bitPos/8]>>(bitPos%8)&1 == 1 {
-				e |= 1 << b
-			}
-			bitPos++
-		}
-		v[i] = e
-	}
-	return v, nil
 }

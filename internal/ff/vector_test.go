@@ -160,15 +160,15 @@ func TestPackUnpackBits(t *testing.T) {
 		for i := range v {
 			v[i] = rng.Uint64() & mask
 		}
-		packed, err := PackBits(v, bits)
+		packed, err := AppendPackBits(nil, v, bits)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(packed) != PackedSize(len(v), bits) {
 			t.Fatalf("bits=%d: packed %d bytes, want %d", bits, len(packed), PackedSize(len(v), bits))
 		}
-		back, err := UnpackBits(packed, len(v), bits)
-		if err != nil {
+		back := NewVec(len(v))
+		if err := UnpackBitsInto(back, packed, bits); err != nil {
 			t.Fatal(err)
 		}
 		if !back.Equal(v) {
@@ -178,14 +178,14 @@ func TestPackUnpackBits(t *testing.T) {
 }
 
 func TestPackBitsValidation(t *testing.T) {
-	if _, err := PackBits(Vec{1 << 20}, 17); err == nil {
-		t.Fatal("oversized element packed")
+	if err := UnpackBitsInto(NewVec(5), []byte{1}, 17); err == nil {
+		t.Fatal("short buffer accepted")
 	}
-	if _, err := PackBits(Vec{1}, 0); err == nil {
+	if err := UnpackBitsInto(NewVec(1), []byte{1, 2, 3}, 0); err == nil {
 		t.Fatal("zero width accepted")
 	}
-	if _, err := UnpackBits([]byte{1}, 5, 17); err == nil {
-		t.Fatal("short buffer accepted")
+	if err := UnpackBitsInto(NewVec(1), make([]byte, 9), 65); err == nil {
+		t.Fatal("overwide width accepted")
 	}
 }
 

@@ -76,7 +76,6 @@ type Client struct {
 	sym    *pasta.Cipher
 	ctx    *bfv.Context
 	sk     *bfv.SecretKey
-	pk     *bfv.PublicKey
 	rlk    *bfv.RelinKey
 	prng   *rlwe.PRNG
 }
@@ -96,11 +95,12 @@ func NewClient(p Params, key pasta.Key, seed []byte) (*Client, error) {
 		return nil, err
 	}
 	g := rlwe.NewPRNG("hhe-client", seed)
-	sk, pk, rlk := ctx.KeyGen(g)
+	// The public key goes unused: the key halves are encrypted under sk.
+	sk, _, rlk := ctx.KeyGen(g)
 	return &Client{
 		params: p,
 		sym:    sym,
-		ctx:    ctx, sk: sk, pk: pk, rlk: rlk, prng: g,
+		ctx:    ctx, sk: sk, rlk: rlk, prng: g,
 	}, nil
 }
 

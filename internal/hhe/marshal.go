@@ -12,8 +12,8 @@ import (
 // of MB at production parameters). The envelope leads with the BFV
 // parameter set so the receiver can build the exact Context the key
 // material was generated under before parsing it, then frames each key
-// section with a u32 length: params, public key, relin key, Galois
-// keys, and the two replicated encrypted key halves.
+// section with a u32 length: params, relin key, Galois keys, and the two
+// replicated encrypted key halves.
 
 const ekMagic = 0x48484b31 // "HHK",1
 
@@ -25,7 +25,7 @@ const maxEvalKeySection = 1 << 28
 // with the BFV parameters it was generated under.
 func MarshalPackedEvalKeys(p bfv.Params, ctx *bfv.Context, k PackedEvalKeys) ([]byte, error) {
 	out := binary.LittleEndian.AppendUint32(nil, ekMagic)
-	sections := make([][]byte, 0, 6)
+	sections := make([][]byte, 0, 5)
 	pb, err := p.MarshalBinary()
 	if err != nil {
 		return nil, err
@@ -33,7 +33,7 @@ func MarshalPackedEvalKeys(p bfv.Params, ctx *bfv.Context, k PackedEvalKeys) ([]
 	sections = append(sections, pb)
 	for _, m := range []interface {
 		MarshalBinary(*bfv.Context) ([]byte, error)
-	}{k.PK, k.RLK, k.GKs, k.KeyL, k.KeyR} {
+	}{k.RLK, k.GKs, k.KeyL, k.KeyR} {
 		b, err := m.MarshalBinary(ctx)
 		if err != nil {
 			return nil, err
@@ -81,7 +81,6 @@ func UnmarshalPackedEvalKeys(data []byte) (bfv.Params, *bfv.Context, PackedEvalK
 		return p, nil, k, err
 	}
 	for _, parse := range []func([]byte) error{
-		func(b []byte) (e error) { k.PK, e = ctx.UnmarshalPublicKey(b); return },
 		func(b []byte) (e error) { k.RLK, e = ctx.UnmarshalRelinKey(b); return },
 		func(b []byte) (e error) { k.GKs, e = ctx.UnmarshalGaloisKeys(b); return },
 		func(b []byte) (e error) { k.KeyL, e = ctx.UnmarshalCiphertext(b); return },

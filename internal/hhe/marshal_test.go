@@ -2,6 +2,7 @@ package hhe
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"testing"
 
@@ -90,28 +91,43 @@ func TestEvalKeysBlobRejectsCorruption(t *testing.T) {
 }
 
 // TestNoiseBudgetPositiveAfterPackedCircuit: after the full packed
-// transcipher circuit at toy parameters the result must retain positive
-// noise budget — the tier-1 stand-in for the production-parameter check
-// below.
+// transcipher circuit at toy parameters the result must keep at least a
+// pinned noise budget, per shape: t = 16, R = 2 is the shape the
+// transciphering tier serves. Each floor sits a few bits under the
+// measured budget (40 bits at t = 4; 31–33 at t = 16, which varies run to
+// run because GenGaloisKeys draws its keys in map order), so a change
+// that eats into it fails here; such a change moves the pin and says why.
 func TestNoiseBudgetPositiveAfterPackedCircuit(t *testing.T) {
-	client, server, _ := packedSetup(t, 4, 2)
-	msg := ff.Vec{1, 2, 3, 4}
-	symCt, err := client.EncryptBlock(9, 0, msg)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		size, rounds, floor int
+	}{
+		{4, 2, 37},
+		{16, 2, 28},
+	} {
+		t.Run(fmt.Sprintf("t=%d/R=%d", tc.size, tc.rounds), func(t *testing.T) {
+			client, server, _ := packedSetup(t, tc.size, tc.rounds)
+			msg := make(ff.Vec, tc.size)
+			for i := range msg {
+				msg[i] = uint64(i + 1)
+			}
+			symCt, err := client.EncryptBlock(9, 0, msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct, err := server.Transcipher(9, 0, symCt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			budget, err := client.PackedNoiseBudget(ct, msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if budget < tc.floor {
+				t.Fatalf("noise budget after packed circuit: %d bits, floor %d", budget, tc.floor)
+			}
+			t.Logf("post-transcipher noise budget: %d bits (floor %d)", budget, tc.floor)
+		})
 	}
-	ct, err := server.Transcipher(9, 0, symCt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget, err := client.PackedNoiseBudget(ct, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if budget <= 0 {
-		t.Fatalf("noise budget exhausted after packed circuit: %d bits", budget)
-	}
-	t.Logf("post-transcipher noise budget: %d bits", budget)
 }
 
 // TestNoiseBudgetProductionParams evaluates the packed circuit at the
@@ -185,5 +201,31 @@ func TestNoiseBudgetProductionParams(t *testing.T) {
 			}
 			t.Logf("%s: post-transcipher noise budget %d bits", tc.name, budget)
 		})
+	}
+}
+
+// BenchmarkUnmarshalEvalKeys parses the eval-key blob of the shape the
+// transciphering tier serves (t = 16, R = 2): the server-side cost of a
+// session's enrollment.
+func BenchmarkUnmarshalEvalKeys(b *testing.B) {
+	par, err := NewToyParams(16, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	client, err := NewClient(par, pasta.KeyFromSeed(par.Pasta, "bench-enroll"), []byte{4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	blob, err := client.EvalKeysBlob()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := UnmarshalPackedEvalKeys(blob); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

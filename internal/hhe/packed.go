@@ -19,7 +19,6 @@ import (
 
 // PackedEvalKeys bundles the server material for packed evaluation.
 type PackedEvalKeys struct {
-	PK   *bfv.PublicKey
 	RLK  *bfv.RelinKey
 	GKs  *bfv.GaloisKeys
 	KeyL *bfv.Ciphertext // replicated packing of K[0:t]
@@ -59,7 +58,7 @@ func (c *Client) PackedEvalKeys() (PackedEvalKeys, error) {
 	if err != nil {
 		return PackedEvalKeys{}, err
 	}
-	return PackedEvalKeys{PK: c.pk, RLK: c.rlk, GKs: gks, KeyL: kl, KeyR: kr}, nil
+	return PackedEvalKeys{RLK: c.rlk, GKs: gks, KeyL: kl, KeyR: kr}, nil
 }
 
 // DecryptPacked decrypts a packed ciphertext and returns its first n

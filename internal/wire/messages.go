@@ -287,9 +287,7 @@ type TranscipherReq struct {
 }
 
 // Vec unpacks the request's payload vector.
-func (m *TranscipherReq) Vec() (ff.Vec, error) {
-	return ff.UnpackBits(m.Packed, int(m.Count), uint(m.Bits))
-}
+func (m *TranscipherReq) Vec() (ff.Vec, error) { return unpackVec(m.Count, m.Bits, m.Packed) }
 
 // VecInto unpacks the request vector into dst (len(dst) == Count)
 // without allocating.
@@ -302,7 +300,7 @@ func PackVec(v ff.Vec, bits uint8) (count uint32, packed []byte, err error) {
 	if len(v) > MaxVecElems {
 		return 0, nil, fmt.Errorf("%w: %d elements (max %d)", ErrBadMessage, len(v), MaxVecElems)
 	}
-	packed, err = ff.PackBits(v, uint(bits))
+	packed, err = ff.AppendPackBits(nil, v, uint(bits))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -310,15 +308,28 @@ func PackVec(v ff.Vec, bits uint8) (count uint32, packed []byte, err error) {
 }
 
 // Vec unpacks the message's payload vector.
-func (m *Data) Vec() (ff.Vec, error) { return ff.UnpackBits(m.Packed, int(m.Count), uint(m.Bits)) }
+func (m *Data) Vec() (ff.Vec, error) { return unpackVec(m.Count, m.Bits, m.Packed) }
 
 // Vec unpacks the request's payload vector.
-func (m *EncryptReq) Vec() (ff.Vec, error) {
-	return ff.UnpackBits(m.Packed, int(m.Count), uint(m.Bits))
+func (m *EncryptReq) Vec() (ff.Vec, error) { return unpackVec(m.Count, m.Bits, m.Packed) }
+
+// Vec unpacks the request's payload vector.
+func (m *StreamReq) Vec() (ff.Vec, error) { return unpackVec(m.Count, m.Bits, m.Packed) }
+
+// unpackVec allocates and unpacks a (count, bits, packed) triple. It
+// checks the width and that packed holds count elements before it
+// allocates them, so a forged Count cannot allocate more than the
+// payload backs.
+func unpackVec(count uint32, bits uint8, packed []byte) (ff.Vec, error) {
+	if bits == 0 || bits > 64 || len(packed) < ff.PackedSize(int(count), uint(bits)) {
+		return nil, fmt.Errorf("%w: %d bytes do not hold %d × %d-bit elements", ErrBadMessage, len(packed), count, bits)
+	}
+	v := ff.NewVec(int(count))
+	if err := ff.UnpackBitsInto(v, packed, uint(bits)); err != nil {
+		return nil, err
+	}
+	return v, nil
 }
-
-// Vec unpacks the request's payload vector.
-func (m *StreamReq) Vec() (ff.Vec, error) { return ff.UnpackBits(m.Packed, int(m.Count), uint(m.Bits)) }
 
 // vecInto unpacks a validated (count, bits, packed) triple into dst,
 // which must hold exactly count elements.

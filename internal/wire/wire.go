@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 )
 
 // Magic is the little-endian frame magic, the bytes "HHEP" on the wire.
@@ -187,20 +186,6 @@ func (c *Codec) WriteFrame(t Type, payload []byte) error {
 	return err
 }
 
-// AppendFrame appends one complete frame (header + payload) to dst and
-// returns the extended slice — the allocation-free sibling of WriteFrame
-// for callers that coalesce frames into pooled buffers before a vectored
-// write. The payload is bounded by DefaultMaxPayload.
-func AppendFrame(dst []byte, t Type, payload []byte) ([]byte, error) {
-	if t == 0 || t > maxType {
-		return nil, fmt.Errorf("%w: %d", ErrBadType, uint8(t))
-	}
-	off := len(dst)
-	dst = appendHeader(dst, t)
-	dst = append(dst, payload...)
-	return patchLen(dst, off)
-}
-
 // appendHeader appends a frame header with a zero length field; patchLen
 // fills the length once the payload has been appended in place.
 func appendHeader(dst []byte, t Type) []byte {
@@ -216,16 +201,6 @@ func patchLen(dst []byte, off int) ([]byte, error) {
 	}
 	binary.LittleEndian.PutUint32(dst[off+6:], uint32(n))
 	return dst, nil
-}
-
-// WriteBuffers flushes pre-encoded frames (each element one or more
-// complete frames, e.g. built with AppendFrame) in a single vectored
-// write — one writev syscall on a *net.TCPConn instead of one Write per
-// frame. WriteBuffers consumes bufs. The caller serializes writers, as
-// with WriteFrame.
-func (c *Codec) WriteBuffers(bufs net.Buffers) error {
-	_, err := bufs.WriteTo(c.w)
-	return err
 }
 
 // readChunk caps the per-step allocation while reading a payload, so a

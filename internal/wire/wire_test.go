@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/ff"
@@ -186,6 +187,33 @@ func TestMessageDecodeRejects(t *testing.T) {
 				t.Fatalf("got %v, want ErrBadMessage", err)
 			}
 		})
+	}
+}
+
+// TestVecRejectsBeforeAllocating: the allocating Vec helpers refuse a
+// message whose Count its Packed bytes cannot back, or whose width is out
+// of range, before they allocate Count elements.
+func TestVecRejectsBeforeAllocating(t *testing.T) {
+	for _, m := range []*Data{
+		{Count: MaxVecElems, Bits: 17, Packed: []byte{1, 2, 3}},
+		{Count: MaxVecElems, Bits: 0},
+		{Count: MaxVecElems, Bits: 65, Packed: make([]byte, 9)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := m.Vec()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadMessage) {
+			t.Fatalf("Count=%d Bits=%d over %d bytes: got %v, want ErrBadMessage", m.Count, m.Bits, len(m.Packed), err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 4096 {
+			t.Fatalf("Count=%d Bits=%d: rejection allocated %d bytes", m.Count, m.Bits, n)
+		}
+	}
+	v := ff.Vec{1, 2, 3}
+	got, err := (&Data{Count: 3, Bits: 17, Packed: mustPack(t, v, 17)}).Vec()
+	if err != nil || !got.Equal(v) {
+		t.Fatalf("Vec() = %v, %v; want %v", got, err, v)
 	}
 }
 
