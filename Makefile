@@ -1,7 +1,8 @@
-# Make targets for the repro. `make ci` is what a pipeline should run:
-# vet + build + the full test suite under the race detector + a one-shot
-# benchmark pass that exercises every benchmark (including the
-# allocation-free keystream engine) without burning CI minutes.
+# Make targets for the repro. `make ci` is what a pipeline should run,
+# and the only step the CI workflow runs: vet + gofmt + build + the full
+# test suite under the race detector + the smoke gates + a one-shot
+# benchmark pass that exercises every benchmark + the allocation gate +
+# short fuzz runs + the benchmark harness + the examples.
 
 GO ?= go
 
@@ -41,8 +42,8 @@ bench-smoke:
 bench-json:
 	$(GO) test -run '^$$' -bench 'NTT|MulPolyInto|BFVEncrypt|PKEEncrypt|Table3PKE|CiphertextMarshal|CiphertextUnmarshal|UnmarshalEvalKeys' -benchmem \
 		./internal/rlwe ./internal/bfv ./internal/hhe . | $(GO) run ./cmd/benchjson -out BENCH_rlwe.json
-	$(GO) test -run '^$$' -bench 'Table2CPUSoftware|KeyStream|MastaKeystream|AccelKeystream|AccelFarm|BackendDispatch|ServerThroughput|ServerOverhead|TranscipherBlock' -benchmem \
-		./internal/pasta ./internal/masta ./internal/backend ./internal/hw ./internal/server ./internal/transcipher . | $(GO) run ./cmd/benchjson -out BENCH_pasta.json
+	$(GO) test -run '^$$' -bench 'Table2CPUSoftware|KeyStream|AccelKeystream|AccelFarm|BackendDispatch|ServerThroughput|ServerOverhead|TranscipherBlock' -benchmem \
+		./internal/pasta ./internal/backend ./internal/hw ./internal/server ./internal/transcipher . | $(GO) run ./cmd/benchjson -out BENCH_pasta.json
 
 # Allocation-regression gate on the serving-tier hot path: the
 # end-to-end encrypt round trip (client encode → server decode →
@@ -85,7 +86,7 @@ backends-smoke:
 	$(GO) test -run 'TestCrossBackendDifferential/PASTA-4' -v ./internal/backend
 
 # Conformance over the full cipher × backend matrix: every registered
-# cipher family (PASTA, HERA, MASTA, plus any test-local Register) on
+# cipher family (PASTA, HERA, plus the test-only ciphertest family) on
 # every registered substrate, with typed skip-with-reason for pairs the
 # capability probes refuse. This is the registry's CI gate: a new
 # cipher package is covered the moment its init calls cipher.Register.
@@ -128,7 +129,7 @@ examples-smoke:
 	$(GO) run ./examples/ml-inference
 	$(GO) run ./examples/network
 
-ci: vet fmt-check build race backends-smoke cipher-smoke server-smoke tls-smoke transcipher-smoke bench-smoke bench-harness examples-smoke
+ci: vet fmt-check build race backends-smoke cipher-smoke server-smoke tls-smoke transcipher-smoke bench-smoke bench-guard fuzz-smoke metrics-smoke bench-harness examples-smoke
 
 clean:
 	$(GO) clean ./...

@@ -5,14 +5,14 @@
 //
 //	hhebench [-experiment all|table1|table2|table3|fig7|fig8|claims|schemes|bitwidth|
 //	          communication|energy|countermeasures|software|transcipher] [-nonces N]
-//	         [-enc-cap] [-backend software|accel|soc] [-cipher pasta|hera|masta]
+//	         [-enc-cap] [-backend software|accel|soc] [-cipher pasta|hera]
 //	         [-metrics file|-] [-debug-addr host:port]
 //
 // The -backend flag selects the execution substrate for the "software"
 // (throughput) experiment; the modelled tables always sample the
 // substrates they reproduce. The throughput experiment sweeps every
-// registered cipher family the substrate can run (MASTA vs PASTA vs
-// HERA on one axis); -cipher narrows it to a single family.
+// registered cipher family the substrate can run (PASTA vs HERA on one
+// axis); -cipher narrows it to a single family.
 package main
 
 import (
@@ -206,7 +206,7 @@ func main() {
 		ran = true
 	}
 	if want("software") {
-		// nil = the full cipher registry (PASTA-3/4, HERA, MASTA, …);
+		// nil = the full cipher registry (PASTA-3/4, HERA, …);
 		// -cipher narrows the sweep to one family. Families the selected
 		// substrate cannot run are skipped by the capability probes.
 		var ciphers []string

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	hheserver [-addr :8765] [-backend software|accel|soc]
-//	          [-cipher pasta|hera|masta]
+//	          [-cipher pasta|hera]
 //	          [-debug-addr :8766] [-workers N] [-queue N]
 //	          [-batch-window 2ms] [-max-sessions N] [-rate N] [-burst N]
 //	          [-request-timeout 10s] [-idle-timeout 2m]

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	hwsim [-backend software|accel|soc] [-cipher pasta|hera|masta]
+//	hwsim [-backend software|accel|soc] [-cipher pasta|hera]
 //	      [-variant pasta3|pasta4] [-w 17|33|54|60]
 //	      [-nonce N] [-counter N] [-step-mode auto|event|cycle|both] [-accel-units N]
 //	      [-trace] [-verify] [-metrics file|-]

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/cipher/ciphertest"
+)
 
 func TestRunPasta4(t *testing.T) {
 	if err := run("pasta", "pasta4", 17, 0, 0, false, true, "test", "", "auto", "accel", 1); err != nil {
@@ -72,18 +76,18 @@ func TestRunFarm(t *testing.T) {
 }
 
 // TestRunCipherFamilies exercises the -cipher axis: HERA runs (and
-// verifies) on the accelerator model, the software-only MASTA family
+// verifies) on the accelerator model, the software-only test family
 // runs on the software backend but is refused by the capability probes
 // on the hardware substrates, and unknown names fail.
 func TestRunCipherFamilies(t *testing.T) {
 	if err := run("hera", "pasta4", 17, 0, 0, false, true, "test", "", "auto", "accel", 1); err != nil {
 		t.Fatalf("hera on accel: %v", err)
 	}
-	if err := run("masta", "pasta4", 17, 0, 0, false, true, "test", "", "auto", "software", 1); err != nil {
-		t.Fatalf("masta on software: %v", err)
+	if err := run(ciphertest.Name, "pasta4", 17, 0, 0, false, true, "test", "", "auto", "software", 1); err != nil {
+		t.Fatalf("dummy on software: %v", err)
 	}
-	if err := run("masta", "pasta4", 17, 0, 0, false, false, "t", "", "auto", "accel", 1); err == nil {
-		t.Fatal("software-only masta accepted on the accel backend")
+	if err := run(ciphertest.Name, "pasta4", 17, 0, 0, false, false, "t", "", "auto", "accel", 1); err == nil {
+		t.Fatal("software-only dummy cipher accepted on the accel backend")
 	}
 	if err := run("rasta", "pasta4", 17, 0, 0, false, false, "t", "", "auto", "software", 1); err == nil {
 		t.Fatal("unknown cipher accepted")

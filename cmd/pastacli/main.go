@@ -14,7 +14,7 @@
 //	pastacli -mode enc -key-seed secret -nonce 7 -in plain.bin -out ct.pasta
 //	pastacli -mode dec -key-seed secret -in ct.pasta -out plain.bin
 //	pastacli -mode enc -backend soc -key-seed secret -nonce 7 -in plain.bin -out ct.pasta
-//	pastacli -mode enc -cipher masta -key-seed secret -nonce 7 -in plain.bin -out ct.masta
+//	pastacli -mode enc -cipher hera -key-seed secret -nonce 7 -in plain.bin -out ct.hera
 package main
 
 import (

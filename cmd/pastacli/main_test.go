@@ -179,7 +179,7 @@ func TestBackendsProduceIdenticalCiphertext(t *testing.T) {
 }
 
 // TestCipherFamilyRoundtrip drives the -cipher axis end to end: a
-// MASTA-encrypted file records its family in the header, decrypts only
+// HERA-encrypted file records its family in the header, decrypts only
 // with the matching -cipher, and a legacy PASTA file refuses a
 // mismatched -cipher instead of emitting garbage.
 func TestCipherFamilyRoundtrip(t *testing.T) {
@@ -192,20 +192,20 @@ func TestCipherFamilyRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := run("enc", "masta", "pasta4", "k", 5, plain, ct, 0, "software", 1); err != nil {
+	if err := run("enc", "hera", "pasta4", "k", 5, plain, ct, 0, "software", 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("dec", "masta", "pasta4", "k", 0, ct, back, 0, "software", 1); err != nil {
+	if err := run("dec", "hera", "pasta4", "k", 0, ct, back, 0, "software", 1); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := os.ReadFile(back)
 	if !bytes.Equal(got, data) {
-		t.Fatal("masta roundtrip failed")
+		t.Fatal("hera roundtrip failed")
 	}
 
 	// Family mismatches are detected from the header, both directions.
 	if err := run("dec", "pasta", "pasta4", "k", 0, ct, back, 0, "software", 1); err == nil {
-		t.Fatal("masta file decrypted as pasta")
+		t.Fatal("hera file decrypted as pasta")
 	}
 	ctP := filepath.Join(dir, "cp")
 	if err := run("enc", "pasta", "pasta4", "k", 6, plain, ctP, 0, "software", 1); err != nil {

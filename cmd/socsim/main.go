@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	socsim [-backend software|accel|soc] [-cipher pasta|hera|masta]
+//	socsim [-backend software|accel|soc] [-cipher pasta|hera]
 //	       [-blocks N] [-nonce N]
 //	       [-variant pasta3|pasta4] [-irq] [-metrics file|-]
 //

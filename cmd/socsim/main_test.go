@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/cipher/ciphertest"
+)
 
 func TestRunTwoBlocks(t *testing.T) {
 	if err := run(2, 1, "pasta", "pasta4", "test", true, "soc", 1); err != nil {
@@ -35,14 +39,15 @@ func TestRunOtherBackends(t *testing.T) {
 }
 
 // TestRunCipherFamilies: non-PASTA families take the generic backend
-// path — MASTA verifies on the software backend, is refused on the SoC
-// (no peripheral), and HERA runs on the accelerator model.
+// path — the software-only test family verifies on the software
+// backend, is refused on the SoC (no peripheral), and HERA runs on the
+// accelerator model.
 func TestRunCipherFamilies(t *testing.T) {
-	if err := run(2, 1, "masta", "pasta4", "test", false, "software", 1); err != nil {
-		t.Fatalf("masta on software: %v", err)
+	if err := run(2, 1, ciphertest.Name, "pasta4", "test", false, "software", 1); err != nil {
+		t.Fatalf("dummy on software: %v", err)
 	}
-	if err := run(1, 1, "masta", "pasta4", "t", false, "soc", 1); err == nil {
-		t.Fatal("software-only masta accepted on the soc backend")
+	if err := run(1, 1, ciphertest.Name, "pasta4", "t", false, "soc", 1); err == nil {
+		t.Fatal("software-only dummy cipher accepted on the soc backend")
 	}
 	if err := run(2, 1, "hera", "pasta4", "test", false, "accel", 1); err != nil {
 		t.Fatalf("hera on accel: %v", err)

@@ -36,21 +36,13 @@ import (
 	"fmt"
 
 	"repro/internal/ff"
-
-	// The built-in cipher families register themselves with
-	// internal/cipher from their package inits. pasta and hera are
-	// imported by the substrate adapters; masta is software-only, so
-	// it is linked here to make the full registry available to every
-	// backend consumer.
-	_ "repro/internal/masta"
 )
 
 // Schemes a backend can instantiate. The cipher axis is registry-driven
 // now (see internal/cipher); these constants name the two original
 // families.
 //
-// Deprecated: use the cipher registry names ("pasta", "hera", "masta",
-// …) via cipher.Names().
+// Deprecated: use the cipher registry names via cipher.Names().
 const (
 	SchemePasta = "pasta"
 	SchemeHera  = "hera"
@@ -62,7 +54,7 @@ type KeystreamSource interface {
 	// Name returns the registry name ("software", "accel", "soc").
 	Name() string
 	// Scheme returns the cipher family's registry name ("pasta",
-	// "hera", "masta", …).
+	// "hera", …).
 	Scheme() string
 	// BlockSize returns t, the number of field elements per keystream
 	// block.

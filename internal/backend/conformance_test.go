@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cipher"
+	"repro/internal/cipher/ciphertest"
 	"repro/internal/ff"
 	"repro/internal/hw"
 	"repro/internal/pasta"
@@ -32,7 +33,6 @@ var goldenP4 = ff.Vec{30202, 59975, 22068, 45713, 913, 23296, 29710, 30707}
 var goldenFirst8 = map[string]ff.Vec{
 	"pasta": goldenP4,
 	"hera":  {14791, 34797, 54512, 3871, 26126, 47996, 21789, 56855},
-	"masta": {54934, 37055, 20426, 13921, 45259, 41418, 8594, 55686},
 }
 
 // matrixConfig returns the conformance Config for one cipher: seeded
@@ -287,8 +287,8 @@ func TestSoCUnsupportedConfigs(t *testing.T) {
 	if _, err := Open(NameSoC, Config{Cipher: "hera", KeySeed: "x"}); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("soc accepted hera: %v", err)
 	}
-	if _, err := Open(NameSoC, Config{Cipher: "masta", KeySeed: "x"}); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("soc accepted masta: %v", err)
+	if _, err := Open(NameSoC, Config{Cipher: ciphertest.Name, KeySeed: "x"}); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("soc accepted the software-only %s cipher: %v", ciphertest.Name, err)
 	}
 	if _, err := Open(NameSoC, Config{CipherParams: cipher.Params{Variant: 4}, Width: 54, KeySeed: "x"}); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("soc accepted a 54-bit modulus on the 32-bit bus: %v", err)
@@ -296,8 +296,8 @@ func TestSoCUnsupportedConfigs(t *testing.T) {
 }
 
 func TestAccelUnsupportedCipher(t *testing.T) {
-	if _, err := Open(NameAccel, Config{Cipher: "masta", KeySeed: "x"}); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("accel accepted software-only masta: %v", err)
+	if _, err := Open(NameAccel, Config{Cipher: ciphertest.Name, KeySeed: "x"}); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("accel accepted the software-only %s cipher: %v", ciphertest.Name, err)
 	}
 }
 

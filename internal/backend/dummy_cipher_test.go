@@ -3,98 +3,34 @@ package backend
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
-	"repro/internal/cipher"
+	"repro/internal/cipher/ciphertest"
 	"repro/internal/ff"
 )
 
-// This file pins the registry's extensibility acceptance criterion:
-// registering a test-local cipher family — with no edits anywhere
-// outside this file — is enough for it to (a) open on the software
-// backend and join the conformance/differential matrix, (b) be refused
-// by the hardware substrates with ErrUnsupported, and (c) appear in
-// the dynamic cipher listing of unknown-cipher errors. The init below
-// runs before every test in this package, so the matrix suites in
-// conformance_test.go and differential_test.go exercise "dummy"
-// automatically.
-
-const dummyBlock = 8
-
-type dummySpec struct{}
-
-func (dummySpec) Name() string { return "dummy" }
-
-func (s dummySpec) Resolve(p cipher.Params) (cipher.Instance, error) {
-	mod, err := p.Modulus()
-	if err != nil {
-		return cipher.Instance{}, err
-	}
-	return cipher.Instance{
-		Spec:   s,
-		Block:  dummyBlock,
-		KeyLen: dummyBlock,
-		Mod:    mod,
-		Label:  fmt.Sprintf("DUMMY(%v)", mod),
-	}, nil
-}
-
-func (s dummySpec) NewRandomKey(inst cipher.Instance) (ff.Vec, error) {
-	return cipher.RandomKey(s.Name(), inst.Mod, inst.KeyLen)
-}
-
-func (s dummySpec) KeyFromSeed(inst cipher.Instance, seed string) ff.Vec {
-	return cipher.SeededKey(s.Name(), inst.Mod, inst.KeyLen, seed)
-}
-
-func (s dummySpec) ValidateKey(inst cipher.Instance, key ff.Vec) error {
-	return cipher.CheckKey(s.Name(), inst.Mod, inst.KeyLen, key)
-}
-
-func (s dummySpec) NewEngine(inst cipher.Instance, key ff.Vec) (cipher.BlockEngine, error) {
-	return &dummyEngine{mod: inst.Mod, key: key.Clone()}, nil
-}
-
-// dummyEngine is a deliberately trivial keystream: a keyed affine mix
-// of (nonce, block, index). Not a cipher — just deterministic,
-// concurrent-safe, and allocation-free, which is all the BlockEngine
-// contract demands of it.
-type dummyEngine struct {
-	mod ff.Modulus
-	key ff.Vec
-}
-
-func (e *dummyEngine) KeyStreamInto(dst ff.Vec, nonce, block uint64) error {
-	if len(dst) != dummyBlock {
-		return fmt.Errorf("dummy: dst has %d elements, want %d", len(dst), dummyBlock)
-	}
-	m := e.mod
-	p := m.P()
-	for i := range dst {
-		v := m.Add(e.key[i], (nonce*2654435761+block*40503+uint64(i)*97+1)%p)
-		dst[i] = v
-	}
-	return nil
-}
-
-func init() {
-	cipher.Register(dummySpec{})
-}
-
+// TestDummyCipherSoftwareOnly pins the registry's extensibility
+// acceptance criterion: registering a cipher family from outside this
+// package — ciphertest's init, with no backend edits — is enough for it
+// to (a) open on the software backend and join the conformance/
+// differential matrix, (b) be refused by the hardware substrates with
+// ErrUnsupported, and (c) appear in the dynamic cipher listing of
+// unknown-cipher errors. The import runs the init before every test in
+// this package, so the matrix suites in conformance_test.go and
+// differential_test.go exercise "dummy" automatically.
 func TestDummyCipherSoftwareOnly(t *testing.T) {
 	// Software opens it and streams deterministically.
-	b, err := Open(NameSoftware, Config{Cipher: "dummy", KeySeed: "x"})
+	b, err := Open(NameSoftware, Config{Cipher: ciphertest.Name, KeySeed: "x"})
 	if err != nil {
 		t.Fatalf("software refused the registered dummy cipher: %v", err)
 	}
 	defer b.Close()
-	if b.Scheme() != "dummy" || b.BlockSize() != dummyBlock {
+	if b.Scheme() != ciphertest.Name || b.BlockSize() != ciphertest.Block {
 		t.Fatalf("identity wrong: scheme %q block %d", b.Scheme(), b.BlockSize())
 	}
-	a := ff.NewVec(dummyBlock)
-	c := ff.NewVec(dummyBlock)
+	a := ff.NewVec(ciphertest.Block)
+	c := ff.NewVec(ciphertest.Block)
 	ctx := context.Background()
 	if err := b.KeyStreamInto(ctx, a, 3, 4); err != nil {
 		t.Fatal(err)
@@ -109,7 +45,7 @@ func TestDummyCipherSoftwareOnly(t *testing.T) {
 	// The hardware substrates refuse it via the capability-probe
 	// default (software-only), with no dummy-specific code anywhere.
 	for _, bn := range []string{NameAccel, NameSoC} {
-		_, err := Open(bn, Config{Cipher: "dummy", KeySeed: "x"})
+		_, err := Open(bn, Config{Cipher: ciphertest.Name, KeySeed: "x"})
 		if !errors.Is(err, ErrUnsupported) {
 			t.Fatalf("%s accepted the software-only dummy cipher: %v", bn, err)
 		}
@@ -117,7 +53,7 @@ func TestDummyCipherSoftwareOnly(t *testing.T) {
 
 	// The dynamic unknown-cipher listing includes it.
 	_, err = Open(NameSoftware, Config{Cipher: "no-such", KeySeed: "x"})
-	if err == nil || !strings.Contains(err.Error(), "dummy") {
+	if err == nil || !strings.Contains(err.Error(), ciphertest.Name) {
 		t.Fatalf("unknown-cipher error does not list the dummy cipher: %v", err)
 	}
 }

@@ -1,11 +1,5 @@
 package backend
 
-import (
-	"repro/internal/cipher"
-	"repro/internal/hera"
-	"repro/internal/pasta"
-)
-
 // SoftwareBackend runs the keystream on the host CPU via the registered
 // cipher family's reference engine. Engines are required to be
 // allocation-free in steady state (pooled workspaces) and safe for
@@ -13,7 +7,6 @@ import (
 // goroutines sharing one engine.
 type SoftwareBackend struct {
 	base
-	engine cipher.BlockEngine
 }
 
 // NewSoftware opens the software backend for any registered cipher.
@@ -26,26 +19,9 @@ func NewSoftware(cfg Config) (*SoftwareBackend, error) {
 	if err != nil {
 		return nil, &Error{Backend: NameSoftware, Op: "open", Err: err}
 	}
-	b := &SoftwareBackend{engine: eng}
+	b := &SoftwareBackend{}
 	b.init(NameSoftware, r.scheme(), r.inst.Block, r.mod(), cfg.Workers)
 	b.label = r.inst.Label
 	b.kernel = eng.KeyStreamInto
 	return b, nil
-}
-
-// Engine returns the underlying software block engine.
-func (b *SoftwareBackend) Engine() cipher.BlockEngine { return b.engine }
-
-// PastaCipher returns the underlying software cipher when the backend
-// runs PASTA, or nil. The HHE client uses it to reach the raw key and
-// the cipher's pooled bulk API.
-func (b *SoftwareBackend) PastaCipher() *pasta.Cipher {
-	c, _ := b.engine.(*pasta.Cipher)
-	return c
-}
-
-// HeraCipher returns the underlying HERA cipher, or nil.
-func (b *SoftwareBackend) HeraCipher() *hera.Cipher {
-	c, _ := b.engine.(*hera.Cipher)
-	return c
 }

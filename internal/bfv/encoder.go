@@ -14,8 +14,8 @@ import (
 // HHE transciphering into batched BFV works so naturally.
 //
 // Slots are arranged in the standard 2 × N/2 hypercube: RotateColumns
-// cyclically rotates within each row of N/2 slots and RotateRows swaps
-// the two rows; the encoder's slot order matches those automorphisms.
+// cyclically rotates within each row of N/2 slots (X → X^{5^k}); the
+// encoder's slot order matches that automorphism.
 type Encoder struct {
 	ctx *Context
 	pt  *rlwe.Ring // Z_t[X]/(X^N+1): reuses the NTT machinery

@@ -162,28 +162,6 @@ func TestRotateColumnsNegativeStep(t *testing.T) {
 	}
 }
 
-func TestRotateRows(t *testing.T) {
-	ctx, enc, sk, pk, _, g := encoderContext(t)
-	gks := ctx.GenGaloisKeys(g, sk, nil)
-	half := enc.Slots()
-	slots := make([]uint64, 2*half)
-	for i := range slots {
-		slots[i] = uint64(i)
-	}
-	pt, _ := enc.Encode(slots)
-	ct := ctx.Encrypt(pk, pt, g)
-	sw, err := ctx.RotateRows(ct, gks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := enc.Decode(ctx.Decrypt(sw, sk))
-	for s := 0; s < half; s++ {
-		if got[s] != slots[half+s] || got[half+s] != slots[s] {
-			t.Fatalf("row swap failed at slot %d", s)
-		}
-	}
-}
-
 func TestRotationRequiresKey(t *testing.T) {
 	ctx, enc, sk, pk, _, g := encoderContext(t)
 	gks := ctx.GenGaloisKeys(g, sk, []int{1})

@@ -64,9 +64,6 @@ type GaloisKeys struct {
 	base uint
 }
 
-// rowSwapGalois returns the g of RotateRows (X → X^{2N-1}).
-func (c *Context) rowSwapGalois() uint64 { return uint64(2*c.Params.N - 1) }
-
 // columnGalois returns the g of a k-step column rotation (X → X^{5^k}).
 func (c *Context) columnGalois(k int) uint64 {
 	m := uint64(2 * c.Params.N)
@@ -79,15 +76,17 @@ func (c *Context) columnGalois(k int) uint64 {
 	return g
 }
 
-// GenGaloisKeys generates keys for the given column-rotation steps (and
-// always for the row swap).
+// GenGaloisKeys generates keys for the given column-rotation steps, in
+// the order given, so a seeded PRNG yields the same key set on every
+// run. Steps that map to an already generated Galois element (k and
+// k + N/2, say) get no second key.
 func (c *Context) GenGaloisKeys(g *rlwe.PRNG, sk *SecretKey, steps []int) *GaloisKeys {
 	gks := &GaloisKeys{keys: map[uint64][][2]rlwe.RNSPoly{}, base: c.Params.RelinBits}
-	want := map[uint64]bool{c.rowSwapGalois(): true}
 	for _, k := range steps {
-		want[c.columnGalois(k)] = true
-	}
-	for galois := range want {
+		galois := c.columnGalois(k)
+		if _, ok := gks.keys[galois]; ok {
+			continue
+		}
 		gks.keys[galois] = c.genSwitchKey(g, sk, c.applyAutomorphismPoly(sk.sCoeff, galois))
 	}
 	return gks
@@ -206,11 +205,6 @@ func (c *Context) RotateColumns(ct *Ciphertext, k int, gks *GaloisKeys) (*Cipher
 		return ct.Clone(), nil
 	}
 	return c.Automorphism(ct, c.columnGalois(k), gks)
-}
-
-// RotateRows swaps the two slot rows.
-func (c *Context) RotateRows(ct *Ciphertext, gks *GaloisKeys) (*Ciphertext, error) {
-	return c.Automorphism(ct, c.rowSwapGalois(), gks)
 }
 
 // MulPlain multiplies a ciphertext by an encoded plaintext polynomial

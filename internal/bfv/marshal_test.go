@@ -176,13 +176,7 @@ func servedCiphertext(ctx *Context, pk *PublicKey, g *rlwe.PRNG) *Ciphertext {
 func TestMarshalGoldenHashes(t *testing.T) {
 	ctx, sk, pk, rlk, g := servedContext(t)
 	ct := servedCiphertext(ctx, pk, g)
-	// GenGaloisKeys draws its keys in map order, so build the set in a
-	// fixed order to keep the randomness assignment seeded.
-	gks := &GaloisKeys{keys: map[uint64][][2]rlwe.RNSPoly{}, base: ctx.Params.RelinBits}
-	for _, k := range []int{1, 2, 3} {
-		gal := ctx.columnGalois(k)
-		gks.keys[gal] = ctx.genSwitchKey(g, sk, ctx.applyAutomorphismPoly(sk.sCoeff, gal))
-	}
+	gks := ctx.GenGaloisKeys(g, sk, []int{1, 2, 3})
 	for _, tc := range []struct {
 		name string
 		m    interface {

@@ -1,6 +1,6 @@
 // Package cipher promotes the symmetric HHE cipher to a first-class
 // registry axis, mirroring the substrate registry in internal/backend.
-// A cipher family (PASTA, HERA, MASTA, …) registers a Spec once from
+// A cipher family (PASTA, HERA, …) registers a Spec once from
 // its package init; every other layer — backend.Config resolution, the
 // serving tier's per-tenant session negotiation, the CLIs' -cipher
 // flag, and the conformance/differential suites — dispatches through

@@ -160,8 +160,8 @@ func TestKeyHelpers(t *testing.T) {
 }
 
 func TestWipedErrorMentionsName(t *testing.T) {
-	err := CheckKey("masta", ff.StandardModuli[17], 4, ff.Vec{1})
-	if !strings.Contains(err.Error(), "masta") {
+	err := CheckKey("hera", ff.StandardModuli[17], 4, ff.Vec{1})
+	if !strings.Contains(err.Error(), "hera") {
 		t.Fatalf("CheckKey error %q does not name the cipher", err)
 	}
 	if !strings.Contains(fmt.Sprintf("%v", err), "want 4") {

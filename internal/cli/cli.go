@@ -55,11 +55,6 @@ func (c *Common) CipherName() string {
 	return c.Cipher
 }
 
-// IsPasta reports whether the selected cipher is the PASTA family —
-// the gate for PASTA-only conveniences like the -variant flag and the
-// SoC direct-driver path.
-func (c *Common) IsPasta() bool { return c.CipherName() == backend.DefaultCipher }
-
 // ParseVariant maps the CLI spelling of a PASTA variant to its typed
 // value.
 func ParseVariant(name string) (pasta.Variant, error) {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/cipher"
+	"repro/internal/cipher/ciphertest"
 )
 
 func table2(t *testing.T) []Table2Row {
@@ -261,8 +262,10 @@ func TestWriteAllCSV(t *testing.T) {
 	}
 }
 
+// TestSoftwareThroughput: PASTA on the software backend gets a
+// sequential and a parallel row per public variant.
 func TestSoftwareThroughput(t *testing.T) {
-	rows, err := SoftwareThroughput(2, 4)
+	rows, err := ThroughputCiphers(backend.NameSoftware, []string{backend.DefaultCipher}, 2, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +286,8 @@ func TestSoftwareThroughput(t *testing.T) {
 	if !strings.Contains(sb.String(), "SOFTWARE") {
 		t.Error("RenderSoftware output missing header")
 	}
-	if _, err := SoftwareThroughput(1, 0); err == nil {
-		t.Error("SoftwareThroughput accepted zero blocks")
+	if _, err := ThroughputCiphers(backend.NameSoftware, []string{backend.DefaultCipher}, 1, 0, 1); err == nil {
+		t.Error("ThroughputCiphers accepted zero blocks")
 	}
 }
 
@@ -292,7 +295,7 @@ func TestSoftwareThroughput(t *testing.T) {
 // on the hardware-model substrates too, with one serialized row per
 // scheme.
 func TestThroughputOnAccelBackend(t *testing.T) {
-	rows, err := Throughput(backend.NameAccel, 4, 2)
+	rows, err := ThroughputCiphers(backend.NameAccel, []string{backend.DefaultCipher}, 4, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,8 +310,8 @@ func TestThroughputOnAccelBackend(t *testing.T) {
 			t.Errorf("%s: non-positive throughput", r.Scheme)
 		}
 	}
-	if _, err := Throughput("no-such-backend", 1, 1); err == nil {
-		t.Error("Throughput accepted an unknown backend")
+	if _, err := ThroughputCiphers("no-such-backend", []string{backend.DefaultCipher}, 1, 1, 1); err == nil {
+		t.Error("ThroughputCiphers accepted an unknown backend")
 	}
 }
 
@@ -350,20 +353,20 @@ func TestThroughputCiphersSweepsRegistry(t *testing.T) {
 	}
 
 	// The accel backend runs PASTA and HERA but not the software-only
-	// MASTA family: the sweep must skip it, not fail.
+	// dummy family: the sweep must skip it, not fail.
 	rows, err = ThroughputCiphers(backend.NameAccel, nil, 1, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if r.Cipher == "masta" {
-			t.Error("software-only masta measured on the accel backend")
+		if r.Cipher == ciphertest.Name {
+			t.Error("software-only dummy cipher measured on the accel backend")
 		}
 	}
 
 	// A sweep with nothing runnable is an error, as is an unknown name.
-	if _, err := ThroughputCiphers(backend.NameSoC, []string{"masta"}, 1, 1, 1); err == nil {
-		t.Error("masta-on-soc sweep did not fail")
+	if _, err := ThroughputCiphers(backend.NameSoC, []string{ciphertest.Name}, 1, 1, 1); err == nil {
+		t.Error("dummy-on-soc sweep did not fail")
 	}
 	if _, err := ThroughputCiphers(backend.NameSoftware, []string{"rasta"}, 1, 1, 1); err == nil {
 		t.Error("unknown cipher accepted")

@@ -21,7 +21,7 @@ import (
 // host can turn the simulation crank.
 type SoftwareRow struct {
 	Backend     string
-	Cipher      string // registry family name ("pasta", "hera", "masta")
+	Cipher      string // registry family name ("pasta", "hera")
 	Scheme      string // instance shorthand within the family ("PASTA-3")
 	Workers     int    // goroutines used (1 = sequential reference path)
 	Blocks      int
@@ -41,7 +41,7 @@ type throughputInstance struct {
 // throughputSweep expands cipher family names into measured instances:
 // PASTA contributes both public variants, every other family its
 // recommended default. nil/empty ciphers means every registered family —
-// the MASTA-vs-PASTA-vs-HERA comparison the throughput table exists for.
+// the PASTA-vs-HERA comparison the throughput table exists for.
 func throughputSweep(ciphers []string) ([]throughputInstance, error) {
 	if len(ciphers) == 0 {
 		ciphers = cipher.Names()
@@ -62,42 +62,20 @@ func throughputSweep(ciphers []string) ([]throughputInstance, error) {
 	return list, nil
 }
 
-// SoftwareThroughput runs the software backend for PASTA-3 and PASTA-4
-// (ω=17) over `blocks` CTR blocks, once on the sequential reference path
-// and once with the parallel fan-out at `workers` goroutines (0 =
-// GOMAXPROCS). Both paths produce bit-identical keystreams — the
-// differential suite in internal/backend pins that — so the comparison
-// is purely about throughput.
-func SoftwareThroughput(workers, blocks int) ([]SoftwareRow, error) {
-	return Throughput(backend.NameSoftware, workers, blocks)
-}
-
-// Throughput is SoftwareThroughput generalized over the execution-
-// backend registry: it measures keystream generation on any named
-// substrate. The software backend is measured at 1 and `workers`
-// goroutines; the hardware-model backends serialize on the single
-// simulated peripheral, so they get one row at workers = 1.
-func Throughput(backendName string, workers, blocks int) ([]SoftwareRow, error) {
-	return ThroughputUnits(backendName, workers, blocks, 1)
-}
-
-// ThroughputUnits extends Throughput with an accelerator farm width:
-// with accelUnits > 1 on the accel backend, the sweep compares the
-// classic single peripheral against an N-way farm driven by N
-// concurrent block requests, quantifying how accel-backed serving
-// scales when the peripheral is replicated instead of shared. Like
-// Throughput it covers the PASTA family only; ThroughputCiphers sweeps
-// the whole cipher registry.
-func ThroughputUnits(backendName string, workers, blocks, accelUnits int) ([]SoftwareRow, error) {
-	return ThroughputCiphers(backendName, []string{backend.DefaultCipher}, workers, blocks, accelUnits)
-}
-
 // ThroughputCiphers measures keystream throughput for the named cipher
-// families (nil = every registered family) on one execution backend.
-// Cipher/substrate pairs the capability probes refuse are skipped, so a
-// full-registry sweep on the accel backend silently drops the
-// software-only families rather than failing; if nothing at all can run
-// on the substrate, that is an error.
+// families (nil = every registered family) on one execution backend,
+// over `blocks` CTR blocks. The software backend is measured once on the
+// sequential reference path and once fanned out over `workers`
+// goroutines (0 = GOMAXPROCS); both produce bit-identical keystreams, so
+// the comparison is purely about throughput. The hardware-model
+// backends serialize on the single simulated peripheral and get one row
+// at workers = 1 — except the accel backend with accelUnits > 1, which
+// compares the single peripheral against an N-way farm driven by N
+// concurrent block requests. Cipher/substrate pairs the capability
+// probes refuse are skipped, so a full-registry sweep on the accel
+// backend silently drops the software-only families rather than
+// failing; if nothing at all can run on the substrate, that is an
+// error.
 func ThroughputCiphers(backendName string, ciphers []string, workers, blocks, accelUnits int) ([]SoftwareRow, error) {
 	if blocks <= 0 {
 		return nil, fmt.Errorf("eval: blocks must be positive")

@@ -66,6 +66,32 @@ func TestEvalKeysBlobRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEvalKeysBlobSeeded: two clients built from the same key and seed
+// upload byte-identical eval-key blobs, so a seeded enrollment (tests,
+// golden replies, the load harness) is reproducible run to run.
+func TestEvalKeysBlobSeeded(t *testing.T) {
+	par, err := NewToyParams(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := pasta.KeyFromSeed(par.Pasta, "blob-seeded")
+	blob := func() []byte {
+		client, err := NewClient(par, key, []byte{7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := client.EvalKeysBlob()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	a, b := blob(), blob()
+	if !bytes.Equal(a, b) {
+		t.Fatalf("same seed, different eval-key blobs (%d and %d bytes)", len(a), len(b))
+	}
+}
+
 // TestEvalKeysBlobRejectsCorruption: truncations and magic damage must
 // error, never panic.
 func TestEvalKeysBlobRejectsCorruption(t *testing.T) {
@@ -94,15 +120,14 @@ func TestEvalKeysBlobRejectsCorruption(t *testing.T) {
 // transcipher circuit at toy parameters the result must keep at least a
 // pinned noise budget, per shape: t = 16, R = 2 is the shape the
 // transciphering tier serves. Each floor sits a few bits under the
-// measured budget (40 bits at t = 4; 31–33 at t = 16, which varies run to
-// run because GenGaloisKeys draws its keys in map order), so a change
-// that eats into it fails here; such a change moves the pin and says why.
+// measured budget (40 bits at t = 4; 32 at t = 16), so a change that eats
+// into it fails here; such a change moves the pin and says why.
 func TestNoiseBudgetPositiveAfterPackedCircuit(t *testing.T) {
 	for _, tc := range []struct {
 		size, rounds, floor int
 	}{
 		{4, 2, 37},
-		{16, 2, 28},
+		{16, 2, 30},
 	} {
 		t.Run(fmt.Sprintf("t=%d/R=%d", tc.size, tc.rounds), func(t *testing.T) {
 			client, server, _ := packedSetup(t, tc.size, tc.rounds)

@@ -46,8 +46,7 @@ type Ring struct {
 	twoQ        uint64
 
 	// brt[i] = bit-reversal of i over log2(N) bits, computed once at ring
-	// construction and shared by the twiddle layout and external users
-	// (see BitRevTable).
+	// construction and used by the twiddle layout.
 	brt []int
 
 	// pool recycles NTT-domain scratch polynomials for MulPolyInto so the
@@ -104,10 +103,6 @@ func NewRing(n int, q uint64) (*Ring, error) {
 
 // Mod returns the coefficient modulus wrapper.
 func (r *Ring) Mod() ff.Modulus { return r.mod }
-
-// BitRevTable returns the precomputed bit-reversal permutation: entry i is
-// the log2(N)-bit reversal of i. Callers must not modify it.
-func (r *Ring) BitRevTable() []int { return r.brt }
 
 // maxRootCandidates bounds the generator scan of primitiveRoot2N. Half of
 // all field elements are quadratic non-residues, so a valid candidate

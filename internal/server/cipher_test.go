@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/cipher"
+	"repro/internal/cipher/ciphertest"
 	"repro/internal/ff"
 	"repro/internal/wire"
 )
@@ -67,13 +68,13 @@ func oracleKeystream(t *testing.T, inst cipher.Instance, key ff.Vec, nonce, firs
 }
 
 // TestMixedCipherSessions is the negotiation acceptance test: 32
-// concurrent tenants interleaving PASTA, HERA, and MASTA sessions on
-// one server, every response bit-identical to the tenant's own cipher
-// oracle. One server, one backend, three keystream designs in flight at
-// once.
+// concurrent tenants interleaving PASTA, HERA, and the test-only dummy
+// family's sessions on one server, every response bit-identical to the
+// tenant's own cipher oracle. One server, one backend, three keystream
+// designs in flight at once.
 func TestMixedCipherSessions(t *testing.T) {
 	const sessions = 32
-	families := []string{"pasta", "hera", "masta"}
+	families := []string{"pasta", "hera", ciphertest.Name}
 	_, addr := startServer(t, Config{Workers: 8, QueueBound: 512})
 	const clientsN = 4
 	clients := make([]*Client, clientsN)
@@ -144,9 +145,10 @@ func TestMixedCipherSessions(t *testing.T) {
 }
 
 // TestSameKeyNonceDifferentCiphers pins the cipher-aware duplicate-nonce
-// registry: PASTA-4 and MASTA both use 64-element keys, so the same key
-// words under the same nonce are representable in both families — but
-// they derive different keystreams, so both sessions must be admitted.
+// registry: PASTA-4 and the dummy family at T = 64 both use 64-element
+// keys, so the same key words under the same nonce are representable in
+// both families — but they derive different keystreams, so both
+// sessions must be admitted.
 // Only an exact (cipher, instance, key, nonce) collision is keystream
 // reuse, and that one must still be refused.
 func TestSameKeyNonceDifferentCiphers(t *testing.T) {
@@ -157,7 +159,7 @@ func TestSameKeyNonceDifferentCiphers(t *testing.T) {
 	const nonce = 4242
 	pastaOpen := wire.SessionOpen{Scheme: "pasta", Variant: 4, Nonce: nonce,
 		Key: append([]uint64(nil), key...)}
-	mastaOpen := wire.SessionOpen{Scheme: "masta", Nonce: nonce,
+	dummyOpen := wire.SessionOpen{Scheme: ciphertest.Name, T: 64, Nonce: nonce,
 		Key: append([]uint64(nil), key...)}
 
 	s1, err := c.OpenSession(pastaOpen)
@@ -165,14 +167,14 @@ func TestSameKeyNonceDifferentCiphers(t *testing.T) {
 		t.Fatalf("pasta open: %v", err)
 	}
 	defer s1.Close()
-	s2, err := c.OpenSession(mastaOpen)
+	s2, err := c.OpenSession(dummyOpen)
 	if err != nil {
-		t.Fatalf("masta open with the same (key, nonce) was refused: %v", err)
+		t.Fatalf("dummy open with the same (key, nonce) was refused: %v", err)
 	}
 	defer s2.Close()
 
 	// The true reuse hazard — same cipher, key, and nonce — stays refused.
-	dup := wire.SessionOpen{Scheme: "masta", Nonce: nonce, Key: append([]uint64(nil), key...)}
+	dup := wire.SessionOpen{Scheme: ciphertest.Name, T: 64, Nonce: nonce, Key: append([]uint64(nil), key...)}
 	if _, err := c.OpenSession(dup); !errors.Is(err, ErrDuplicateNonce) {
 		t.Fatalf("exact (cipher, key, nonce) duplicate: got %v, want ErrDuplicateNonce", err)
 	}
@@ -245,10 +247,10 @@ func TestSoftwareOnlyCipherOnSoCBackend(t *testing.T) {
 	baseline := servingBaseline(t, srv)
 	c := dialClient(t, addr)
 
-	open, _, _ := openFor(t, "masta", "soc-tenant", 700)
+	open, _, _ := openFor(t, ciphertest.Name, "soc-tenant", 700)
 	_, err := c.OpenSession(open)
 	if err == nil {
-		t.Fatal("soc server accepted the software-only masta cipher")
+		t.Fatal("soc server accepted the software-only dummy cipher")
 	}
 	if !errors.Is(err, ErrUnknownCipher) {
 		t.Fatalf("unsupported cipher on soc: got %v, want ErrUnknownCipher", err)
@@ -264,7 +266,7 @@ func TestSoftwareOnlyCipherOnSoCBackend(t *testing.T) {
 	// PASTA runs on the SoC; the connection is still good.
 	sess, err := c.OpenSession(pasta4Open(testKey(64, 31, ff.P17.P()), 701))
 	if err != nil {
-		t.Fatalf("pasta open on soc after masta rejection: %v", err)
+		t.Fatalf("pasta open on soc after dummy rejection: %v", err)
 	}
 	sess.Close()
 	c.Close()

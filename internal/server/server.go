@@ -390,9 +390,6 @@ func (s *Server) SessionCount() int {
 	return len(s.sessions)
 }
 
-// QueueDepth returns the current scheduler queue depth.
-func (s *Server) QueueDepth() int { return int(s.depth.Load()) }
-
 // ListenAndServe binds addr and serves until Shutdown.
 func (s *Server) ListenAndServe(addr string) error {
 	ln, err := net.Listen("tcp", addr)

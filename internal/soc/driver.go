@@ -15,30 +15,22 @@ const (
 	statsAddr = 0x70000 // per-block cycle counts measured by rdcycle
 )
 
-// DriverProgram generates the assembly a bare-metal driver runs to
+// driverProgram generates the assembly a bare-metal driver runs to
 // encrypt nBlocks blocks: load the key into the peripheral, program the
 // nonce, then per block set counter/addresses/length, start, and poll the
 // status register until done — the serialized block-by-block flow the
-// paper describes for the single slave bus.
-func DriverProgram(par pasta.Params, nBlocks int, lastLen int, nonce uint64) string {
-	return driverProgram(par, nBlocks, lastLen, nonce, 0, false)
-}
-
-// DriverProgramIRQ generates the interrupt-driven variant: instead of
-// spinning on the status register, the core enables the peripheral's
-// completion interrupt and sleeps in WFI until the line wakes it (the
-// resume-after-WFI idiom; interrupts stay globally masked). The core
-// idles in a clock-gateable state for the whole accelerator runtime.
-func DriverProgramIRQ(par pasta.Params, nBlocks int, lastLen int, nonce uint64) string {
-	return driverProgram(par, nBlocks, lastLen, nonce, 0, true)
-}
-
-// driverProgram emits the driver. firstCtr is the block counter of the
-// first block; the loop programs CTR_LO = firstCtr + i for block i (the
-// backend layer uses this to ask the SoC for an arbitrary keystream
-// block). CTR_HI is fixed to the upper word of firstCtr: a run must not
-// cross a 2^32-block counter boundary, which at t elements per block is
-// far beyond the addressable RAM anyway.
+// paper describes for the single slave bus. With useIRQ the core instead
+// enables the peripheral's completion interrupt and sleeps in WFI until
+// the line wakes it (the resume-after-WFI idiom; interrupts stay globally
+// masked), idling in a clock-gateable state for the whole accelerator
+// runtime.
+//
+// firstCtr is the block counter of the first block; the loop programs
+// CTR_LO = firstCtr + i for block i (the backend layer uses this to ask
+// the SoC for an arbitrary keystream block). CTR_HI is fixed to the
+// upper word of firstCtr: a run must not cross a 2^32-block counter
+// boundary, which at t elements per block is far beyond the addressable
+// RAM anyway.
 func driverProgram(par pasta.Params, nBlocks int, lastLen int, nonce uint64, firstCtr uint64, useIRQ bool) string {
 	t := par.T
 	wait := fmt.Sprintf(`poll:

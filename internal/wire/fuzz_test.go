@@ -9,10 +9,11 @@ import (
 	"repro/internal/cipher"
 	"repro/internal/ff"
 
-	// Link the built-in cipher families so the SessionOpen seed corpus
-	// below covers every registered name.
+	// Link the built-in cipher families and the test-only software-only
+	// one so the SessionOpen seed corpus below covers every registered
+	// name.
+	_ "repro/internal/cipher/ciphertest"
 	_ "repro/internal/hera"
-	_ "repro/internal/masta"
 	_ "repro/internal/pasta"
 )
 

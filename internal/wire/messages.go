@@ -136,7 +136,7 @@ type SessionOpen struct {
 	Scheme string // registered cipher family name ("" = server default "pasta")
 	// Variant/Width/Rounds/T use the family's public numbering and are
 	// interpreted by the family's Spec (PASTA: Variant 3/4 or toy T;
-	// HERA/MASTA: Rounds). Zero means family default throughout.
+	// HERA: Rounds). Zero means family default throughout.
 	Variant uint8  // named instance within the family (PASTA: 3 or 4)
 	Width   uint8  // modulus width ω (0 = 17)
 	Rounds  uint8  // round count where the family allows it
