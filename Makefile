@@ -51,7 +51,9 @@ bench-json:
 # allocs/op budgets. ServerThroughput runs the real PASTA-4 cipher;
 # ServerOverhead isolates the request pipeline on a free keystream;
 # AccelKeystream holds the event-driven accelerator engine to its
-# allocation-free steady state (one alloc: the returned keystream).
+# allocation-free steady state (one alloc: the returned keystream);
+# KeyStreamIntoPasta3/4 hold the software keystream, which runs the same
+# PASTA layer kernel, to zero.
 bench-guard:
 	$(GO) test -run '^$$' -bench 'ServerThroughput$$|ServerOverhead' -benchmem -benchtime 0.5s \
 		./internal/server | $(GO) run ./cmd/benchjson \
@@ -59,18 +61,23 @@ bench-guard:
 	$(GO) test -run '^$$' -bench 'AccelKeystream' -benchmem -benchtime 0.2s \
 		./internal/hw | $(GO) run ./cmd/benchjson \
 		-max-allocs 'AccelKeystream/.*event$$=1' -out /dev/null
+	$(GO) test -run '^$$' -bench 'KeyStreamIntoPasta' -benchmem -benchtime 0.2s \
+		./internal/pasta | $(GO) run ./cmd/benchjson \
+		-max-allocs 'KeyStreamIntoPasta[34]$$=0' -out /dev/null
 
 # Short fuzz runs of the differential harnesses: the lazy NTT product
 # against the schoolbook oracle, the structured modular reductions
 # against the generic one, the bit packer against its bit-loop
-# reference, the BFV ciphertext parser, the wire decoder, and the
-# event-driven accelerator engine against the per-cycle oracle.
+# reference, the BFV ciphertext parser, the wire decoder, the PASTA layer
+# kernel against the materialized-matrix oracle, and the event-driven
+# accelerator engine against the per-cycle oracle.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMulPoly -fuzztime 5s ./internal/rlwe
 	$(GO) test -run '^$$' -fuzz FuzzDotLazyAgainstNaive -fuzztime 5s ./internal/ff
 	$(GO) test -run '^$$' -fuzz FuzzPackBits -fuzztime 5s ./internal/ff
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalCiphertext -fuzztime 5s ./internal/bfv
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 5s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzPermutationLayer -fuzztime 5s ./internal/pasta
 	$(GO) test -run '^$$' -fuzz FuzzAccelEventStep -fuzztime 5s ./internal/hw
 
 # End-to-end check of the observability layer: a short co-simulation must

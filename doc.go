@@ -12,11 +12,13 @@
 // binaries under cmd/ print the full tables.
 //
 // The software cipher is itself tuned as a faithful image of the
-// paper's datapath: ff.DotLazy accumulates whole matrix rows in a
-// 128-bit-product carry chain and reduces once per row, mirroring the
-// cryptoprocessor's multiplier bank → adder tree → single reduction
-// unit schedule (Sec. III-C), and the pasta package fans CTR-independent
-// blocks out across cores with pooled, allocation-free workspaces. The
-// sequential path is kept as a reference oracle and the two are tested
-// bit-identical.
+// paper's datapath: one layer kernel (pasta.Kernel) accumulates each
+// matrix row's products unreduced and reduces once per row, mirroring
+// the cryptoprocessor's multiplier bank → adder tree → single reduction
+// unit schedule (Sec. III-C), with a division-free limb fold for the
+// Fermat prime 2^16 + 1. The accelerator model's event engine runs on
+// the same kernel. The pasta package fans CTR-independent blocks out
+// across cores with pooled, allocation-free workspaces. The sequential
+// path and the materialized matrices are kept as reference oracles and
+// are tested bit-identical to it.
 package repro

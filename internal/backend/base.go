@@ -39,9 +39,11 @@ type base struct {
 	obsElements *obs.Counter
 
 	// ksScratch recycles the per-worker t-element keystream scratch of
-	// forEachBlock, so steady-state EncryptInto/KeyStreamBlocksInto calls
-	// allocate nothing.
+	// forEachBlock, and jobs its *blockJob, so steady-state
+	// EncryptInto/KeyStreamBlocksInto calls allocate nothing on one
+	// worker and only the extra workers' goroutine starts on several.
 	ksScratch sync.Pool
+	jobs      sync.Pool
 }
 
 // init wires the base in place (base embeds atomics, so it is never
@@ -150,7 +152,8 @@ func (b *base) KeyStreamBlocks(ctx context.Context, nonce, first uint64, count i
 
 // KeyStreamBlocksInto is KeyStreamBlocks writing into dst (exactly
 // count × BlockSize elements) — the serving-tier hot path; the software
-// substrate performs no heap allocation here in steady state.
+// substrate allocates nothing here in steady state but the extra
+// workers' goroutine starts.
 func (b *base) KeyStreamBlocksInto(ctx context.Context, dst ff.Vec, nonce, first uint64, count int) error {
 	const op = "keystream-blocks"
 	if err := b.pre(ctx, op); err != nil {
@@ -163,10 +166,7 @@ func (b *base) KeyStreamBlocksInto(ctx context.Context, dst ff.Vec, nonce, first
 		return &Error{Backend: b.name, Op: op,
 			Err: fmt.Errorf("dst has %d elements, want %d", len(dst), count*b.t)}
 	}
-	err := b.forEachBlock(ctx, op, count, func(i int, _ ff.Vec) error {
-		return b.kernel(dst[i*b.t:(i+1)*b.t], nonce, first+uint64(i))
-	})
-	if err != nil {
+	if err := b.forEachBlock(ctx, op, count, blockReq{out: dst, nonce: nonce, first: first}); err != nil {
 		return err
 	}
 	b.account(count, count*b.t)
@@ -217,75 +217,120 @@ func (b *base) processInto(ctx context.Context, op string, out ff.Vec, nonce uin
 	if nBlocks == 0 {
 		return nil
 	}
-	err := b.forEachBlock(ctx, op, nBlocks, func(i int, ks ff.Vec) error {
-		if err := b.kernel(ks, nonce, uint64(i)); err != nil {
-			return err
-		}
-		lo := i * b.t
-		hi := lo + b.t
-		if hi > len(in) {
-			hi = len(in) // last block may be short
-		}
-		src, dst := in[lo:hi], out[lo:hi]
-		for j := range src {
-			if encrypt {
-				dst[j] = b.mod.Add(src[j], ks[j])
-			} else {
-				dst[j] = b.mod.Sub(src[j], ks[j])
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := b.forEachBlock(ctx, op, nBlocks, blockReq{in: in, out: out, nonce: nonce, encrypt: encrypt}); err != nil {
 		return err
 	}
 	b.account(nBlocks, len(in))
 	return nil
 }
 
-// forEachBlock runs f for every block index in [0, count), strided over
-// the worker pool. Each worker owns a t-element keystream scratch and
-// checks ctx before every block, so cancellation is honoured at block
-// granularity and every worker has exited by the time forEachBlock
-// returns — no goroutine outlives the call.
-func (b *base) forEachBlock(ctx context.Context, op string, count int, f func(i int, ks ff.Vec) error) error {
-	workers := b.effectiveWorkers(count)
-	run := func(start int) error {
-		ksp := b.ksScratch.Get().(*ff.Vec)
-		defer b.ksScratch.Put(ksp)
-		ks := *ksp
-		for i := start; i < count; i += workers {
-			if err := ctx.Err(); err != nil {
-				return &Error{Backend: b.name, Op: op, Err: err}
-			}
-			if err := f(i, ks); err != nil {
-				if _, ok := err.(*Error); ok {
-					return err
-				}
-				return &Error{Backend: b.name, Op: op, Err: err}
-			}
-		}
-		return nil
+// blockReq is what a request asks of forEachBlock. in == nil asks for
+// the keystream of blocks first, first+1, … straight into out; otherwise
+// out = in ± the keystream of blocks 0, 1, … (encrypt selects +).
+type blockReq struct {
+	in, out ff.Vec
+	nonce   uint64
+	first   uint64
+	encrypt bool
+}
+
+// blockJob carries one request through forEachBlock's workers. Its
+// inputs are fields rather than a closure's captures, so the pooled job
+// reaches the worker goroutines without a heap allocation.
+type blockJob struct {
+	blockReq
+	b       *base
+	ctx     context.Context
+	op      string
+	count   int
+	workers int
+	errs    []error
+	wg      sync.WaitGroup
+}
+
+// block computes block i, using ks as keystream scratch when combining.
+func (j *blockJob) block(i int, ks ff.Vec) error {
+	b := j.b
+	lo, hi := i*b.t, (i+1)*b.t
+	if j.in == nil {
+		return b.kernel(j.out[lo:hi], j.nonce, j.first+uint64(i))
 	}
-	if workers <= 1 {
-		return run(0)
+	if err := b.kernel(ks, j.nonce, uint64(i)); err != nil {
+		return err
 	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = run(w)
-		}(w)
+	if hi > len(j.in) {
+		hi = len(j.in) // last block may be short
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	src, dst := j.in[lo:hi], j.out[lo:hi]
+	for k := range src {
+		if j.encrypt {
+			dst[k] = b.mod.Add(src[k], ks[k])
+		} else {
+			dst[k] = b.mod.Sub(src[k], ks[k])
 		}
 	}
 	return nil
+}
+
+// run computes blocks start, start+workers, … < count, checking ctx
+// before every block.
+func (j *blockJob) run(start int) error {
+	ksp := j.b.ksScratch.Get().(*ff.Vec)
+	defer j.b.ksScratch.Put(ksp)
+	for i := start; i < j.count; i += j.workers {
+		if err := j.ctx.Err(); err != nil {
+			return &Error{Backend: j.b.name, Op: j.op, Err: err}
+		}
+		if err := j.block(i, *ksp); err != nil {
+			if _, ok := err.(*Error); ok {
+				return err
+			}
+			return &Error{Backend: j.b.name, Op: j.op, Err: err}
+		}
+	}
+	return nil
+}
+
+func (j *blockJob) runShare(w int) {
+	defer j.wg.Done()
+	j.errs[w] = j.run(w)
+}
+
+// forEachBlock computes every block index in [0, count) of req, strided
+// over the worker pool; the calling goroutine runs the first share. Each
+// worker owns a t-element keystream scratch and checks ctx before every
+// block, so cancellation is honoured at block granularity and every
+// worker has exited by the time forEachBlock returns — no goroutine
+// outlives the call.
+func (b *base) forEachBlock(ctx context.Context, op string, count int, req blockReq) error {
+	j, _ := b.jobs.Get().(*blockJob)
+	if j == nil {
+		j = new(blockJob)
+	}
+	j.blockReq = req
+	j.b, j.ctx, j.op, j.count = b, ctx, op, count
+	j.workers = b.effectiveWorkers(count)
+	if cap(j.errs) < j.workers {
+		j.errs = make([]error, j.workers)
+	}
+	j.errs = j.errs[:j.workers]
+	for w := 1; w < j.workers; w++ {
+		j.wg.Add(1)
+		go j.runShare(w)
+	}
+	j.errs[0] = j.run(0)
+	j.wg.Wait()
+	var err error
+	for _, e := range j.errs {
+		if e != nil {
+			err = e
+			break
+		}
+	}
+	clear(j.errs)
+	j.blockReq, j.b, j.ctx = blockReq{}, nil, nil // drop the request's buffers
+	b.jobs.Put(j)
+	return err
 }
 
 func (b *base) effectiveWorkers(count int) int {

@@ -328,15 +328,20 @@ func TestWatchdogSurfacesTyped(t *testing.T) {
 
 // TestSoftwareZeroAlloc pins the steady-state allocation behaviour of
 // the software path through the interface for every registered cipher:
-// zero allocs per block. This is part of the BlockEngine contract —
-// engines must use pooled workspaces.
+// zero allocs per block, and for a multi-block EncryptInto fanned out
+// over two workers only the second worker's goroutine start. This is
+// part of the BlockEngine contract — engines must use pooled workspaces —
+// and keeps a server's per-request garbage from growing with its request
+// rate.
 func TestSoftwareZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	for _, cn := range cipher.Names() {
 		t.Run(cn, func(t *testing.T) {
-			b, err := Open(NameSoftware, matrixConfig(cn))
+			cfg := matrixConfig(cn)
+			cfg.Workers = 2
+			b, err := Open(NameSoftware, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -354,6 +359,20 @@ func TestSoftwareZeroAlloc(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Fatalf("software %s KeyStreamInto allocates %.1f objects per block, want 0", cn, allocs)
+			}
+			ic := b.(IntoCipher)
+			msg := ff.NewVec(4 * b.BlockSize())
+			ct := ff.NewVec(len(msg))
+			if err := ic.EncryptInto(ctx, ct, 0, msg); err != nil {
+				t.Fatal(err)
+			}
+			allocs = testing.AllocsPerRun(50, func() {
+				if err := ic.EncryptInto(ctx, ct, 1, msg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 1 {
+				t.Fatalf("software %s EncryptInto of 4 blocks on 2 workers allocates %.1f objects per call, want ≤ 1", cn, allocs)
 			}
 		})
 	}

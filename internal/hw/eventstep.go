@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/ff"
 	"repro/internal/keccak"
@@ -153,35 +152,34 @@ func (x *evXOF) finalize(st *Stats, end int64) {
 	}
 }
 
-// evScratch holds the event engine's reusable buffers. An Accelerator is
-// not safe for concurrent runs (the per-cycle path already mutates
-// per-run state), so one scratch per instance suffices.
+// evScratch holds the event engine's reusable buffers and the PASTA
+// layer kernel its dispatches run on. An Accelerator is not safe for
+// concurrent runs (the per-cycle path already mutates per-run state), so
+// one scratch per instance suffices.
 type evScratch struct {
-	t      int
-	layers int
-	xof    evXOF
-	dg     *DataGen
-	rc     [][2]ff.Vec
-	rcFill [][2]int
-	rcDone [][2]bool
-	state  ff.Vec
-	outBuf [2]ff.Vec
-	row    ff.Vec
-	shoup  ff.Vec
+	kern       pasta.Kernel
+	xof        evXOF
+	dg         *DataGen
+	rc         [][2]ff.Vec
+	rcFill     [][2]int
+	rcDone     [][2]bool
+	state      ff.Vec
+	outBuf     [2]ff.Vec
+	rowA, rowB ff.Vec // the kernel's row buffers
 }
 
-func newEvScratch(t, layers int) *evScratch {
+func newEvScratch(par pasta.Params) *evScratch {
+	t, layers := par.T, par.AffineLayers()
 	ev := &evScratch{
-		t:      t,
-		layers: layers,
+		kern:   pasta.NewKernel(par),
 		dg:     NewDataGen(t),
 		rc:     make([][2]ff.Vec, layers),
 		rcFill: make([][2]int, layers),
 		rcDone: make([][2]bool, layers),
 		state:  ff.NewVec(2 * t),
 		outBuf: [2]ff.Vec{ff.NewVec(t), ff.NewVec(t)},
-		row:    ff.NewVec(t),
-		shoup:  ff.NewVec(t),
+		rowA:   ff.NewVec(t),
+		rowB:   ff.NewVec(t),
 	}
 	for l := range ev.rc {
 		ev.rc[l] = [2]ff.Vec{ff.NewVec(t), ff.NewVec(t)}
@@ -193,205 +191,6 @@ func (ev *evScratch) reset() {
 	for l := range ev.rc {
 		ev.rcFill[l] = [2]int{}
 		ev.rcDone[l] = [2]bool{}
-	}
-}
-
-// matApplyFast computes out = M(seed)·x with the same row recurrence the
-// MatEngine uses (eq. 1: row'[0] = last·seed[0], row'[j] = last·seed[j] +
-// row[j-1]), but keeps rows lazily reduced in [0, 2p) via Shoup
-// multiplication by the per-matrix seed constants and fuses row
-// generation with the dot product. Outputs are fully reduced, so the
-// published matrix halves are bit-identical to the oracle's
-// ff.Dot/NextMatrixRow path. When 2p·p·t fits in 64 bits (smallDot) the
-// dot accumulates in a plain uint64; otherwise the 192-bit lazy chain of
-// ff.DotLazy carries the products exactly.
-func matApplyFast(mod ff.Modulus, seed, x, out, row, shoup ff.Vec, smallDot bool) {
-	t := len(seed)
-	p := mod.P()
-	twoP := 2 * p
-	for j := 0; j < t; j++ {
-		shoup[j] = mod.ShoupPrecomp(seed[j])
-		row[j] = seed[j]
-	}
-	if smallDot {
-		var acc uint64
-		for j := 0; j < t; j++ {
-			acc += seed[j] * x[j]
-		}
-		out[0] = mod.Reduce(acc)
-		for i := 1; i < t; i++ {
-			last := row[t-1]
-			acc = 0
-			// Descending j so row[j-1] is still the previous row's value.
-			for j := t - 1; j >= 1; j-- {
-				v := mod.MulShoupLazy(last, seed[j], shoup[j]) + row[j-1]
-				if v >= twoP {
-					v -= twoP
-				}
-				row[j] = v
-				acc += v * x[j]
-			}
-			v0 := mod.MulShoupLazy(last, seed[0], shoup[0])
-			row[0] = v0
-			acc += v0 * x[0]
-			out[i] = mod.Reduce(acc)
-		}
-		return
-	}
-	out[0] = ff.DotLazy(mod, row, x)
-	for i := 1; i < t; i++ {
-		last := row[t-1]
-		for j := t - 1; j >= 1; j-- {
-			v := mod.MulShoupLazy(last, seed[j], shoup[j]) + row[j-1]
-			if v >= twoP {
-				v -= twoP
-			}
-			row[j] = v
-		}
-		row[0] = mod.MulShoupLazy(last, seed[0], shoup[0])
-		out[i] = ff.DotLazy(mod, row, x)
-	}
-}
-
-// matApplyFold is matApplyFast specialised for Fermat moduli p = 2^a + 1
-// with small products (the PASTA ω=17 configuration, p = 2^16+1): a 64-bit
-// product x < 2^(2a)·k splits into a-bit limbs x = l0 + 2^a·l1 + 2^2a·l2
-// with 2^a ≡ -1 and 2^2a ≡ 1 (mod p), so x ≡ l0 - l1 + l2 and
-// r = l0 + l2 + p - l1 reduces with conditional subtractions only — no
-// Shoup precomputation (a Div64 per seed element) and no generic reduce.
-// The caller guarantees the fold bounds (see the foldOK derivation in
-// runEvent); outputs are fully reduced and therefore bit-identical to the
-// oracle's matrix halves.
-func matApplyFold(p uint64, a uint, seed, x, out, rowA, rowB ff.Vec) {
-	t := len(seed)
-	twoP := 2 * p
-	// Masking the shift counts to [0, 64) lets the compiler emit bare
-	// shift instructions instead of guarded variable shifts.
-	sh1 := a & 63
-	sh2 := (2 * a) & 63
-	maskA := uint64(1)<<sh1 - 1
-	seed = seed[:t]
-	x = x[:t]
-	out = out[:t]
-	// Rows ping-pong between two buffers so both loops run ascending with
-	// provably in-bounds indices (src holds row i-1 while dst fills row i).
-	src := rowA[:t]
-	dst := rowB[:t]
-	copy(src, seed)
-	var acc uint64
-	for j := 0; j < t; j++ {
-		acc += seed[j] * x[j]
-	}
-	out[0] = foldReduce(acc, p, sh1, sh2, maskA)
-	for i := 1; i < t; i++ {
-		src = src[:t]
-		dst = dst[:t]
-		last := src[t-1]
-		prod := last * seed[0]
-		r := (prod & maskA) + (prod >> sh2) + p - (prod >> sh1 & maskA)
-		if r >= twoP {
-			r -= twoP
-		}
-		dst[0] = r
-		acc = r * x[0]
-		for j := 1; j < t; j++ {
-			prod := last * seed[j]
-			// The folded product is ≤ 2p and the previous lazy row value
-			// < 2p, so their sum folds back into [0, 2p) with a single
-			// conditional subtraction of 2p.
-			r := (prod & maskA) + (prod >> sh2) + p - (prod >> sh1 & maskA)
-			v := r + src[j-1]
-			if v >= twoP {
-				v -= twoP
-			}
-			dst[j] = v
-			acc += v * x[j]
-		}
-		out[i] = foldReduce(acc, p, sh1, sh2, maskA)
-		src, dst = dst, src
-	}
-}
-
-// foldReduce fully reduces a dot accumulator via the Fermat limb fold.
-// Requires acc>>(2a) < p, which bounds the folded value below 3p.
-func foldReduce(acc, p uint64, sh1, sh2 uint, maskA uint64) uint64 {
-	r := (acc & maskA) + (acc >> sh2) + p - (acc >> sh1 & maskA)
-	if r >= p {
-		r -= p
-	}
-	if r >= p {
-		r -= p
-	}
-	return r
-}
-
-// The vector-ALU step specialised for the same Fermat fold: products of
-// canonical elements are < p² = 2^2a + 2^(a+1) + 1, so the overflow limb
-// is ≤ 1 and one conditional subtraction canonicalises the fold. Results
-// are identical to the ff.AddVec/pasta.Mix/Sbox reference path; only the
-// reduction strategy differs.
-
-func addVecFold(p uint64, z, x, y ff.Vec) {
-	for i := range z {
-		v := x[i] + y[i]
-		if v >= p {
-			v -= p
-		}
-		z[i] = v
-	}
-}
-
-func mixFold(p uint64, state ff.Vec) {
-	t := len(state) / 2
-	l, r := state[:t], state[t:t+t]
-	for i := 0; i < t; i++ {
-		s := l[i] + r[i]
-		if s >= p {
-			s -= p
-		}
-		lv := l[i] + s
-		if lv >= p {
-			lv -= p
-		}
-		rv := r[i] + s
-		if rv >= p {
-			rv -= p
-		}
-		l[i] = lv
-		r[i] = rv
-	}
-}
-
-func sboxFeistelFold(p uint64, sh1, sh2 uint, maskA uint64, state ff.Vec) {
-	for j := len(state) - 1; j >= 1; j-- {
-		x := state[j-1]
-		sq := x * x
-		r := (sq & maskA) + (sq >> sh2) + p - (sq >> sh1 & maskA)
-		if r >= p {
-			r -= p
-		}
-		v := state[j] + r
-		if v >= p {
-			v -= p
-		}
-		state[j] = v
-	}
-}
-
-func sboxCubeFold(p uint64, sh1, sh2 uint, maskA uint64, state ff.Vec) {
-	for j := range state {
-		x := state[j]
-		sq := x * x
-		r := (sq & maskA) + (sq >> sh2) + p - (sq >> sh1 & maskA)
-		if r >= p {
-			r -= p
-		}
-		cu := r * x
-		c := (cu & maskA) + (cu >> sh2) + p - (cu >> sh1 & maskA)
-		if c >= p {
-			c -= p
-		}
-		state[j] = c
 	}
 }
 
@@ -412,8 +211,8 @@ func (a *Accelerator) runEvent(nonce, counter uint64, msg ff.Vec) (Result, error
 	layers := a.par.AffineLayers()
 
 	ev := a.ev
-	if ev == nil || ev.t != t || ev.layers != layers {
-		ev = newEvScratch(t, layers)
+	if ev == nil {
+		ev = newEvScratch(a.par)
 		a.ev = ev
 	}
 	ev.reset()
@@ -422,32 +221,6 @@ func (a *Accelerator) runEvent(nonce, counter uint64, msg ff.Vec) (Result, error
 	dg := ev.dg
 	dg.reset()
 	rc, rcFill, rcDone := ev.rc, ev.rcFill, ev.rcDone
-
-	// The uint64 dot accumulator is exact when t products of a lazy row
-	// value (< 2p) and a reduced state element (< p) cannot overflow.
-	hiB, loB := bits.Mul64(2*p-1, p-1)
-	smallDot := hiB == 0 && loB <= math.MaxUint64/uint64(t)
-
-	// The Fermat limb fold replaces Shoup multiplication when its bounds
-	// hold: MAC products (2p-1)(p-1) must fold below 2p in one subtraction
-	// (overflow limb ≤ 2), and dot accumulators t·(2p-1)(p-1) below 3p
-	// (overflow limb < p). True for every Fermat width the sampler can
-	// reach under smallDot; checked explicitly so exotic toy moduli fall
-	// back to the Shoup path.
-	foldOK := false
-	foldA := uint(0)
-	if smallDot && mod.Kind() == ff.Fermat {
-		fa := mod.Bits() - 1
-		prodMax := (2*p - 1) * (p - 1)
-		accMax := prodMax * uint64(t)
-		if prodMax>>(2*fa) <= 2 && accMax>>(2*fa) < p {
-			foldOK = true
-			foldA = fa
-		}
-	}
-	foldSh1 := foldA & 63
-	foldSh2 := (2 * foldA) & 63
-	foldMask := uint64(1)<<foldSh1 - 1
 
 	var res Result
 	st := &res.Stats
@@ -633,11 +406,7 @@ func (a *Accelerator) runEvent(nonce, counter uint64, msg ff.Vec) (Result, error
 					seed := dg.Acquire(2 * layer)
 					engSeedID = 2 * layer
 					engHalf = 0
-					if foldOK {
-						matApplyFold(p, foldA, seed, state[:t], ev.outBuf[0], ev.row, ev.shoup)
-					} else {
-						matApplyFast(mod, seed, state[:t], ev.outBuf[0], ev.row, ev.shoup, smallDot)
-					}
+					ev.kern.MatVecInto(ev.outBuf[0], seed, state[:t], ev.rowA, ev.rowB)
 					engBusyUntil = now + matEngineLatency(t)
 					engRunning = true
 					st.MatGenBusy += int64(t)
@@ -650,11 +419,7 @@ func (a *Accelerator) runEvent(nonce, counter uint64, msg ff.Vec) (Result, error
 					seed := dg.Acquire(2*layer + 1)
 					engSeedID = 2*layer + 1
 					engHalf = 1
-					if foldOK {
-						matApplyFold(p, foldA, seed, state[t:], ev.outBuf[1], ev.row, ev.shoup)
-					} else {
-						matApplyFast(mod, seed, state[t:], ev.outBuf[1], ev.row, ev.shoup, smallDot)
-					}
+					ev.kern.MatVecInto(ev.outBuf[1], seed, state[t:], ev.rowA, ev.rowB)
 					engBusyUntil = now + matEngineLatency(t)
 					engRunning = true
 					st.MatGenBusy += int64(t)
@@ -665,33 +430,10 @@ func (a *Accelerator) runEvent(nonce, counter uint64, msg ff.Vec) (Result, error
 			case phaseALU:
 				if aluDoneAt < 0 {
 					if matReady[0] && matReady[1] && rcDone[layer][0] && rcDone[layer][1] {
+						ev.kern.FinishLayer(state, ev.outBuf[0], ev.outBuf[1], rc[layer][0], rc[layer][1], layer)
 						lat := int64(latRCAdd + latMix)
-						if foldOK {
-							addVecFold(p, state[:t], ev.outBuf[0], rc[layer][0])
-							addVecFold(p, state[t:], ev.outBuf[1], rc[layer][1])
-							mixFold(p, state)
-							switch {
-							case layer < a.par.Rounds-1:
-								sboxFeistelFold(p, foldSh1, foldSh2, foldMask, state)
-								lat += latSbox
-							case layer == a.par.Rounds-1:
-								sboxCubeFold(p, foldSh1, foldSh2, foldMask, state)
-								lat += latSbox
-							}
-						} else {
-							copy(state[:t], ev.outBuf[0])
-							copy(state[t:], ev.outBuf[1])
-							ff.AddVec(mod, state[:t], state[:t], rc[layer][0])
-							ff.AddVec(mod, state[t:], state[t:], rc[layer][1])
-							pasta.Mix(mod, state)
-							switch {
-							case layer < a.par.Rounds-1:
-								pasta.SboxFeistel(mod, state)
-								lat += latSbox
-							case layer == a.par.Rounds-1:
-								pasta.SboxCube(mod, state)
-								lat += latSbox
-							}
+						if layer < a.par.Rounds {
+							lat += latSbox
 						}
 						aluDoneAt = now + lat
 						st.VecALUBusy += lat

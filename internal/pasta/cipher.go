@@ -66,6 +66,7 @@ func (k Key) Validate(p Params) error {
 type Cipher struct {
 	par     Params
 	key     Key
+	kern    Kernel
 	workers int       // bulk-path worker count; ≤ 0 means GOMAXPROCS
 	pool    sync.Pool // *workspace; New left nil, see getWorkspace
 }
@@ -78,7 +79,7 @@ func NewCipher(par Params, key Key) (*Cipher, error) {
 	if err := key.Validate(par); err != nil {
 		return nil, err
 	}
-	return &Cipher{par: par, key: Key(ff.Vec(key).Clone())}, nil
+	return &Cipher{par: par, key: Key(ff.Vec(key).Clone()), kern: NewKernel(par)}, nil
 }
 
 // Params returns the cipher's parameters.
@@ -174,21 +175,6 @@ func (c *Cipher) streamSequential(nonce uint64, in ff.Vec, encrypt bool) (ff.Vec
 // NumBlocks returns the number of keystream blocks needed for n elements.
 func (c *Cipher) NumBlocks(n int) int { return (n + c.par.T - 1) / c.par.T }
 
-// Permute runs the full PASTA permutation π on the key state, drawing
-// public randomness from s, and returns the final 2t-element state
-// *before* truncation. The keystream is the first t elements.
-//
-// Exposed (rather than private) because the cycle-accurate hardware model
-// and the homomorphic decryption circuit must replay the identical
-// schedule of XOF consumption.
-func (c *Cipher) Permute(s *xof.Sampler) ff.Vec {
-	ws := c.getWorkspace()
-	c.permuteInto(s, ws)
-	state := ws.state.Clone()
-	c.putWorkspace(ws)
-	return state
-}
-
 // AffineLayer holds the four public pseudo-random vectors of one affine
 // layer, in the exact XOF consumption order of the hardware schedule
 // (Fig. 3): matrix seed for X_L, matrix seed for X_R, round constant for
@@ -222,15 +208,6 @@ func DeriveSchedule(p Params, nonce, block uint64) []AffineLayer {
 	return layers
 }
 
-// ApplyAffine computes half ← M(seed)·half + rc in place, expanding the
-// invertible matrix row by row exactly as the hardware does: only the
-// seed row and the previous row are ever stored (the memory-efficiency
-// point of Sec. III-C). Convenience wrapper around ApplyAffineInto that
-// allocates its own scratch; hot paths use the Into variant.
-func ApplyAffine(m ff.Modulus, half, seed, rc ff.Vec) {
-	ApplyAffineInto(m, half, seed, rc, NewAffineScratch(len(half)))
-}
-
 // NextMatrixRow advances the sequential invertible-matrix recurrence of
 // eq. (1): given the seed row α and the current row r, the next row is
 //
@@ -246,8 +223,8 @@ func NextMatrixRow(m ff.Modulus, seed, row ff.Vec) ff.Vec {
 }
 
 // ExpandMatrix materializes the full t×t invertible matrix from a seed
-// row. Used by tests, the homomorphic evaluator, and invertibility
-// property checks; the cipher itself streams rows via NextMatrixRow.
+// row. Used by the homomorphic evaluator and invertibility property
+// checks, and as the oracle the streaming Kernel is tested against.
 func ExpandMatrix(m ff.Modulus, seed ff.Vec) *ff.Matrix {
 	t := len(seed)
 	mat := ff.NewMatrix(t)

@@ -1,6 +1,7 @@
 package pasta
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -185,26 +186,39 @@ func TestNextMatrixRowMatchesCompanionMultiply(t *testing.T) {
 	}
 }
 
-// TestApplyAffineMatchesExpandedMatrix: the streaming row-by-row affine
-// equals the materialized M·x + rc.
-func TestApplyAffineMatchesExpandedMatrix(t *testing.T) {
-	mod := ff.P33
-	s := xof.NewSampler(mod, 9, 9)
+// TestKernelAffineMatchesExpandedMatrix: the kernel's streamed
+// row-by-row matrix product, completed by FinishLayer for the final
+// (S-box-free) layer, equals Mix of the materialized M·x + rc on each
+// half, on both kernel paths.
+func TestKernelAffineMatchesExpandedMatrix(t *testing.T) {
 	tt := 12
-	seed := s.Vector(tt, true)
-	rc := s.Vector(tt, false)
-	x := s.Vector(tt, false)
+	for _, mod := range []ff.Modulus{ff.P17, ff.P33} {
+		par, err := ToyParams(tt, 2, mod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := xof.NewSampler(mod, 9, 9)
+		seedL, seedR := s.Vector(tt, true), s.Vector(tt, true)
+		rcL, rcR := s.Vector(tt, false), s.Vector(tt, false)
+		x := s.Vector(2*tt, false)
 
-	streamed := x.Clone()
-	ApplyAffine(mod, streamed, seed, rc)
+		k := NewKernel(par)
+		outL, outR, rowA, rowB := ff.NewVec(tt), ff.NewVec(tt), ff.NewVec(tt), ff.NewVec(tt)
+		k.MatVecInto(outL, seedL, x[:tt], rowA, rowB)
+		k.MatVecInto(outR, seedR, x[tt:], rowA, rowB)
+		streamed := ff.NewVec(2 * tt)
+		k.FinishLayer(streamed, outL, outR, rcL, rcR, par.Rounds)
 
-	mat := ExpandMatrix(mod, seed)
-	want := ff.NewVec(tt)
-	mat.MulVec(mod, want, x)
-	ff.AddVec(mod, want, want, rc)
+		want := ff.NewVec(2 * tt)
+		ExpandMatrix(mod, seedL).MulVec(mod, want[:tt], x[:tt])
+		ExpandMatrix(mod, seedR).MulVec(mod, want[tt:], x[tt:])
+		ff.AddVec(mod, want[:tt], want[:tt], rcL)
+		ff.AddVec(mod, want[tt:], want[tt:], rcR)
+		Mix(mod, want)
 
-	if !streamed.Equal(want) {
-		t.Fatalf("streamed affine %v != materialized %v", streamed, want)
+		if !streamed.Equal(want) {
+			t.Fatalf("%v: streamed affine %v != materialized %v", mod, streamed, want)
+		}
 	}
 }
 
@@ -311,37 +325,70 @@ func TestScheduleMatchesSampler(t *testing.T) {
 }
 
 // TestPermuteConsistentWithSchedule: replaying the permutation with
-// materialized matrices must give the same state as the streaming path.
+// materialized matrices must give the same state as the streaming path,
+// on both kernel paths: the Fermat fold (P17, and the toy prime 257 at
+// t = 4) and the Shoup rows (P33, P54, and the toy prime 17 at t = 16,
+// where a row sum overflows the fold's bound).
 func TestPermuteConsistentWithSchedule(t *testing.T) {
-	par := MustParams(Pasta4, ff.P33)
-	c, _ := NewCipher(par, KeyFromSeed(par, "sched"))
-	nonce, block := uint64(21), uint64(4)
-
-	want := c.KeyStream(nonce, block)
-
-	layers := DeriveSchedule(par, nonce, block)
-	state := ff.Vec(c.Key())
-	tt := par.T
-	mod := par.Mod
-	for i, l := range layers {
-		ml, mr := ExpandMatrix(mod, l.MatSeedL), ExpandMatrix(mod, l.MatSeedR)
-		newL, newR := ff.NewVec(tt), ff.NewVec(tt)
-		ml.MulVec(mod, newL, state[:tt])
-		mr.MulVec(mod, newR, state[tt:])
-		ff.AddVec(mod, newL, newL, l.RCL)
-		ff.AddVec(mod, newR, newR, l.RCR)
-		copy(state[:tt], newL)
-		copy(state[tt:], newR)
-		Mix(mod, state)
-		switch {
-		case i < par.Rounds-1:
-			SboxFeistel(mod, state)
-		case i == par.Rounds-1:
-			SboxCube(mod, state)
+	type row struct {
+		par  Params
+		fold bool
+	}
+	var rows []row
+	for _, v := range []Variant{Pasta3, Pasta4} {
+		for _, mod := range []ff.Modulus{ff.P17, ff.P33, ff.P54} {
+			rows = append(rows, row{MustParams(v, mod), mod == ff.P17})
 		}
 	}
-	if !state[:tt].Equal(want) {
-		t.Fatal("materialized permutation differs from streaming permutation")
+	for _, toy := range []struct {
+		t    int
+		p    uint64
+		fold bool
+	}{{4, 257, true}, {16, 17, false}} {
+		par, err := ToyParams(toy.t, 3, ff.MustModulus(toy.p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row{par, toy.fold})
+	}
+	for _, r := range rows {
+		par := r.par
+		t.Run(fmt.Sprintf("%v/t=%d/p=%d", par.Variant, par.T, par.Mod.P()), func(t *testing.T) {
+			c, err := NewCipher(par, KeyFromSeed(par, "sched"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.kern.fold != r.fold {
+				t.Fatalf("kernel fold path = %v, want %v", c.kern.fold, r.fold)
+			}
+			nonce, block := uint64(21), uint64(4)
+			want := c.KeyStream(nonce, block)
+
+			layers := DeriveSchedule(par, nonce, block)
+			state := ff.Vec(c.Key())
+			tt := par.T
+			mod := par.Mod
+			for i, l := range layers {
+				ml, mr := ExpandMatrix(mod, l.MatSeedL), ExpandMatrix(mod, l.MatSeedR)
+				newL, newR := ff.NewVec(tt), ff.NewVec(tt)
+				ml.MulVec(mod, newL, state[:tt])
+				mr.MulVec(mod, newR, state[tt:])
+				ff.AddVec(mod, newL, newL, l.RCL)
+				ff.AddVec(mod, newR, newR, l.RCR)
+				copy(state[:tt], newL)
+				copy(state[tt:], newR)
+				Mix(mod, state)
+				switch {
+				case i < par.Rounds-1:
+					SboxFeistel(mod, state)
+				case i == par.Rounds-1:
+					SboxCube(mod, state)
+				}
+			}
+			if !state[:tt].Equal(want) {
+				t.Fatal("materialized permutation differs from streaming permutation")
+			}
+		})
 	}
 }
 
@@ -457,9 +504,11 @@ func TestTruncationRationale(t *testing.T) {
 	c, _ := NewCipher(par, KeyFromSeed(par, "trunc"))
 	nonce, block := uint64(13), uint64(0)
 
-	// Full (untruncated) final state, as Permute exposes for the HW model.
-	s := xof.NewSampler(par.Mod, nonce, block)
-	full := c.Permute(s)
+	// Full (untruncated) final state, which the cipher keeps internal.
+	ws := newWorkspace(par)
+	ws.sampler.Reseed(nonce, block)
+	c.permuteInto(ws.sampler, ws)
+	full := ws.state
 
 	// Adversary: rebuild the public schedule and invert the final affine
 	// layer: state = Mix(M·X + RC)  ⇒  X = M⁻¹·(Mix⁻¹(state) − RC).
@@ -505,10 +554,12 @@ func TestTruncationRationale(t *testing.T) {
 	}
 	// The inversion consumed all 2t outputs; verify it actually produced
 	// the pre-final-layer state by re-applying the layer.
-	reapplied := recovered.Clone()
-	ApplyAffine(mod, reapplied[:tt], last.MatSeedL, last.RCL)
-	ApplyAffine(mod, reapplied[tt:], last.MatSeedR, last.RCR)
-	Mix(mod, reapplied)
+	reapplied := ff.NewVec(2 * tt)
+	k := NewKernel(par)
+	outL, outR, rowA, rowB := ff.NewVec(tt), ff.NewVec(tt), ff.NewVec(tt), ff.NewVec(tt)
+	k.MatVecInto(outL, last.MatSeedL, recovered[:tt], rowA, rowB)
+	k.MatVecInto(outR, last.MatSeedR, recovered[tt:], rowA, rowB)
+	k.FinishLayer(reapplied, outL, outR, last.RCL, last.RCR, par.Rounds)
 	if !reapplied.Equal(full) {
 		t.Fatal("final-layer inversion failed — it should succeed given the full state")
 	}

@@ -16,29 +16,15 @@ import (
 //   - Inside one permutation, every affine layer is a matrix–vector
 //     product whose rows the hardware streams through a multiplier bank
 //     and adder tree, reducing the wide sum once per row (Sec. III-C).
-//     ApplyAffineInto mirrors that with ff.DotLazy and caller-provided
-//     scratch, so the steady-state permutation performs zero heap
+//     permuteInto runs each layer on the cipher's Kernel (kernel.go), the
+//     same arithmetic the accelerator model's event engine runs, with
+//     pooled scratch, so the steady-state permutation performs zero heap
 //     allocations.
 //
 //   - Across blocks, the keystream is CTR-style: block b depends only on
 //     (key, nonce, b). Blocks are embarrassingly parallel, so bulk
 //     Encrypt/Decrypt fan blocks out over a worker pool, exactly the
 //     parallelism a farm of accelerator instances would exploit.
-
-// AffineScratch holds the three t-element buffers ApplyAffineInto needs:
-// the output accumulator and the two ping-pong matrix-row registers (the
-// hardware keeps only the seed row and the current row — the memory
-// frugality of Sec. III-C).
-type AffineScratch struct {
-	Out  ff.Vec
-	RowA ff.Vec
-	RowB ff.Vec
-}
-
-// NewAffineScratch returns scratch for block size t.
-func NewAffineScratch(t int) *AffineScratch {
-	return &AffineScratch{Out: ff.NewVec(t), RowA: ff.NewVec(t), RowB: ff.NewVec(t)}
-}
 
 // NextMatrixRowInto advances the sequential invertible-matrix recurrence
 // of eq. (1) into next, which must not alias row:
@@ -54,35 +40,20 @@ func NextMatrixRowInto(m ff.Modulus, seed, row, next ff.Vec) {
 	}
 }
 
-// ApplyAffineInto computes half ← M(seed)·half + rc in place using the
-// caller's scratch and lazy-reduction dot products: each output element
-// accumulates its row's 128-bit products wide and reduces once, the
-// software image of the adder-tree-then-reduce hardware schedule.
-func ApplyAffineInto(m ff.Modulus, half, seed, rc ff.Vec, sc *AffineScratch) {
-	t := len(half)
-	out, row, next := sc.Out[:t], sc.RowA[:t], sc.RowB[:t]
-	copy(row, seed)
-	out[0] = m.Add(ff.DotLazy(m, row, half), rc[0])
-	for i := 1; i < t; i++ {
-		NextMatrixRowInto(m, seed, row, next)
-		row, next = next, row
-		out[i] = m.Add(ff.DotLazy(m, row, half), rc[i])
-	}
-	copy(half, out)
-}
-
 // workspace bundles every buffer one keystream block needs — permutation
 // state, the four affine-layer vectors (drawn in the hardware's XOF
-// order), affine scratch, and a reusable sampler — so the steady state
-// touches the heap zero times per block.
+// order), the two matrix products, the kernel's row buffers, and a
+// reusable sampler — so the steady state touches the heap zero times per
+// block.
 type workspace struct {
-	state   ff.Vec // 2t permutation state
-	seedL   ff.Vec // V0: matrix seed for X_L
-	seedR   ff.Vec // V1: matrix seed for X_R
-	rcL     ff.Vec // V2: round constants for X_L
-	rcR     ff.Vec // V3: round constants for X_R
-	sc      AffineScratch
-	sampler *xof.Sampler
+	state      ff.Vec // 2t permutation state
+	seedL      ff.Vec // V0: matrix seed for X_L
+	seedR      ff.Vec // V1: matrix seed for X_R
+	rcL        ff.Vec // V2: round constants for X_L
+	rcR        ff.Vec // V3: round constants for X_R
+	outL, outR ff.Vec // M_L·X_L and M_R·X_R
+	rowA, rowB ff.Vec
+	sampler    *xof.Sampler
 }
 
 func newWorkspace(par Params) *workspace {
@@ -93,7 +64,10 @@ func newWorkspace(par Params) *workspace {
 		seedR:   ff.NewVec(t),
 		rcL:     ff.NewVec(t),
 		rcR:     ff.NewVec(t),
-		sc:      AffineScratch{Out: ff.NewVec(t), RowA: ff.NewVec(t), RowB: ff.NewVec(t)},
+		outL:    ff.NewVec(t),
+		outR:    ff.NewVec(t),
+		rowA:    ff.NewVec(t),
+		rowB:    ff.NewVec(t),
 		sampler: xof.NewSampler(par.Mod, 0, 0),
 	}
 }
@@ -117,22 +91,15 @@ func (c *Cipher) putWorkspace(ws *workspace) { c.pool.Put(ws) }
 // randomness from s, without allocating.
 func (c *Cipher) permuteInto(s *xof.Sampler, ws *workspace) {
 	copy(ws.state, c.key)
-	mod := c.par.Mod
 	t := c.par.T
 	for layer := 0; layer < c.par.AffineLayers(); layer++ {
 		s.VectorInto(ws.seedL, true)
 		s.VectorInto(ws.seedR, true)
 		s.VectorInto(ws.rcL, false)
 		s.VectorInto(ws.rcR, false)
-		ApplyAffineInto(mod, ws.state[:t], ws.seedL, ws.rcL, &ws.sc)
-		ApplyAffineInto(mod, ws.state[t:], ws.seedR, ws.rcR, &ws.sc)
-		Mix(mod, ws.state)
-		switch {
-		case layer < c.par.Rounds-1:
-			SboxFeistel(mod, ws.state)
-		case layer == c.par.Rounds-1:
-			SboxCube(mod, ws.state)
-		}
+		c.kern.MatVecInto(ws.outL, ws.seedL, ws.state[:t], ws.rowA, ws.rowB)
+		c.kern.MatVecInto(ws.outR, ws.seedR, ws.state[t:], ws.rowA, ws.rowB)
+		c.kern.FinishLayer(ws.state, ws.outL, ws.outR, ws.rcL, ws.rcR, layer)
 	}
 }
 
@@ -167,7 +134,7 @@ func (c *Cipher) keyStreamInto(dst ff.Vec, nonce, block uint64) {
 // ciphers from NewCipher); n = 1 forces the sequential path. The derived
 // cipher is independently safe for concurrent use.
 func (c *Cipher) WithParallelism(n int) *Cipher {
-	return &Cipher{par: c.par, key: c.key, workers: n}
+	return &Cipher{par: c.par, key: c.key, kern: c.kern, workers: n}
 }
 
 // Parallelism reports the configured worker count (0 = GOMAXPROCS).
